@@ -22,7 +22,7 @@ from .errors import CheckpointError, ConfigError, DataError, MlaanError
 from .network import build_backbone
 from .optim import OptimizerConfig
 from .tensor import set_default_dtype
-from .training import MODES, Trainer, TrainerMode, evaluate as evaluate_network
+from .training import MODES, Trainer, evaluate as evaluate_network
 
 
 class _UsageError(Exception):
@@ -68,13 +68,10 @@ def build_trainer(cfg: ExperimentConfig) -> Trainer:
     b = cfg.backbone
     backbone = build_backbone(b.depth, b.width, b.classes, b.input_shape,
                               seed=cfg.run.seed)
-    t = cfg.trainer
-    mode = TrainerMode(kind=t.mode, k=t.k, p=t.p, r=t.r,
-                       mlaan_rule=t.mlaan_rule, sync_period=t.sync_period)
     o = cfg.optimizer
     opt = OptimizerConfig(lr=o.lr, min_lr=o.min_lr, lr_cascaded=o.lr_cascaded,
                           momentum=o.momentum, weight_decay=o.weight_decay)
-    return Trainer(backbone, cfg.partition.K, mode, opt, cfg.run.seed)
+    return Trainer(backbone, cfg.partition.K, cfg.trainer.build(), opt, cfg.run.seed)
 
 
 def _out_dir(args, cfg: ExperimentConfig = None) -> str:

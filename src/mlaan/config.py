@@ -11,7 +11,7 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
-from .training import MLAAN_RULES, MODES
+from .training import TrainerMode
 
 DATASET_KINDS = ("idx", "cifar10bin", "synthetic")
 PRECISIONS = ("float32", "float64")
@@ -46,6 +46,11 @@ class TrainerSection:
     r: float = 0.99
     mlaan_rule: str = "ema_teacher"
     sync_period: int = 0
+
+    def build(self) -> TrainerMode:
+        """The trainer mode this section describes; TrainerMode checks the values."""
+        return TrainerMode(kind=self.mode, k=self.k, p=self.p, r=self.r,
+                           mlaan_rule=self.mlaan_rule, sync_period=self.sync_period)
 
 
 @dataclass
@@ -112,19 +117,10 @@ class ExperimentConfig:
         if self.partition.K < 1 or self.partition.K > units:
             raise ConfigError(f"partition.K must lie in 1..{units} for depth {b.depth}, "
                               f"got {self.partition.K}")
-        if t.mode not in MODES:
-            raise ConfigError(f"trainer.mode must be one of {MODES}, got {t.mode!r}")
-        if t.mlaan_rule not in MLAAN_RULES:
-            raise ConfigError(f"trainer.mlaan_rule must be one of {MLAAN_RULES}, got {t.mlaan_rule!r}")
+        t.build()
         if t.mode in ("mlm_only", "mlaan"):
             if not 1 < t.k <= self.partition.K:
                 raise ConfigError(f"trainer.k must lie in 2..K={self.partition.K}, got {t.k}")
-        if t.p < 0:
-            raise ConfigError(f"trainer.p must be >= 0, got {t.p}")
-        if not 0.0 <= t.r <= 1.0:
-            raise ConfigError(f"trainer.r must lie in [0, 1], got {t.r}")
-        if t.sync_period < -1:
-            raise ConfigError(f"trainer.sync_period must be >= -1, got {t.sync_period}")
         if o.lr < 0 or o.min_lr < 0 or o.min_lr > o.lr:
             raise ConfigError("optimizer.lr/min_lr must satisfy 0 <= min_lr <= lr")
         if o.lr_cascaded is not None and o.lr_cascaded < 0:

@@ -1,10 +1,10 @@
 """Layer objects: thin Parameter containers around the op kernels.
 
 Every layer takes explicit `training` / `update_stats` flags on call rather
-than holding a global mode, because one training step runs the same layers
-under several pathways with different batch-norm policies (the canonical
-forward updates running stats; cascade re-forwards and replica stacks must
-not).
+than holding a global mode, because one training step runs layers under
+different batch-norm policies: the module forward updates running stats,
+while leap-replica stacks (copies of later units run on an earlier module's
+features) must not.
 """
 
 from __future__ import annotations

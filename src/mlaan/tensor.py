@@ -118,7 +118,9 @@ class Node:
 
 
 class Graph:
-    """Reverse-mode tape confined to one pathway of one training step.
+    """Reverse-mode tape over one stretch of one training step: a module
+    body, or one supervision head. A body tape may be backward-ed several
+    times, once per loss that reaches it, before `release`.
 
     Nodes are appended in execution order, so the list is topologically
     sorted by construction. An optional meter is notified when activation
@@ -131,7 +133,6 @@ class Graph:
     def __init__(self, label: str = "graph", meter=None, section: str = "main"):
         self.label = label
         self.nodes: list[Node] = []
-        self.detach_marks: set[int] = set()
         self.meter = meter
         self.section = section
         self._retained: dict[int, tuple[int, tuple]] = {}
@@ -171,10 +172,6 @@ class Graph:
                 if not isinstance(t, Parameter):
                     self._retain(t.data)
 
-    def mark_detach(self, node: Optional[Node]) -> None:
-        if node is not None:
-            self.detach_marks.add(id(node))
-
     def _retain(self, arr: np.ndarray) -> None:
         key = id(arr)
         if key in self._retained:
@@ -184,15 +181,32 @@ class Graph:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, loss: Tensor, seed: float = 1.0) -> None:
-        """Accumulate d(seed*loss)/dp into every reachable Parameter.grad."""
-        if loss.data.size != 1:
+    def backward(self, loss: Tensor, seed=1.0) -> Optional[np.ndarray]:
+        """Accumulate d(seed . loss)/dp into every reachable Parameter.grad and
+        return the gradient that reaches the tape's non-parameter input leaf
+        (None when no such leaf requires grad).
+
+        A float seed scales a scalar loss. An array seed, shaped like `loss`,
+        is the gradient arriving at `loss` from a later tape; chaining tapes
+        this way gives the same gradients as one tape over both. The array
+        is used as given, not copied: conv outputs are strided views, and
+        copying the seed into the root's layout would change the summation
+        order of the reductions downstream (batch-norm backward among them).
+        """
+        if isinstance(seed, np.ndarray):
+            if seed.shape != loss.data.shape:
+                raise GraphError(f"seed shape {seed.shape} does not match "
+                                 f"loss shape {loss.data.shape}")
+            root = seed
+        elif loss.data.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+        else:
+            root = np.full_like(loss.data, seed)
         if loss.node is None:
-            return
+            return None
         reachable = self._reachable_from(loss.node)
-        grads: dict[int, np.ndarray] = {
-            id(loss.node): np.full_like(loss.data, seed)}
+        grads: dict[int, np.ndarray] = {id(loss.node): root}
+        leaf, leaf_grad = None, None
         for node in reversed(self.nodes):
             if id(node) not in reachable:
                 continue
@@ -212,6 +226,14 @@ class Graph:
                         grads[key] = grads[key] + g
                     else:
                         grads[key] = g
+                elif leaf is None:
+                    leaf, leaf_grad = t, g
+                elif t is leaf:
+                    leaf_grad = leaf_grad + g
+                else:
+                    raise GraphError(f"tape {self.label!r} has more than one "
+                                     "non-parameter input leaf that requires grad")
+        return leaf_grad
 
     def _reachable_from(self, root: Node) -> set[int]:
         seen = {id(root)}
@@ -235,4 +257,3 @@ class Graph:
         for node in self.nodes:
             node.output.node = None
         self.nodes.clear()
-        self.detach_marks.clear()

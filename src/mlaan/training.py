@@ -2,12 +2,20 @@
 leap-augmented, and the full combined method, plus the epoch loop and
 evaluation.
 
-Gradient isolation is structural: every pathway (a module with its head, or
-a cascade window with its head) runs on its own tape, reading stored
-boundary tensors that are graph leaves. Two learning rates are realized
-with one optimizer by scaling cascade-loss backward seeds by eta_c/eta_d,
-so all supervision terms accumulate into one gradient buffer before the
-single Nesterov step — the simultaneous-update semantics.
+Gradient isolation is structural. A local step forwards each module once,
+on its own tape, from a leaf copy of the previous module's output. Each
+supervision head (a module's own head, or a cascade window's head) runs on
+a separate tape over a leaf copy of the features it grades; its gradient
+at those features is pushed back through the body tapes of exactly the
+modules it supervises, and never further. A body tape stays alive only
+while a cascade window that covers it is still open, so at most k module
+tapes are held at once.
+
+Two learning rates are realized with one optimizer by scaling cascade-loss
+backward seeds by eta_c/eta_d, so all supervision terms accumulate into one
+gradient buffer before the single Nesterov step — the simultaneous-update
+semantics. Each parameter takes its own module's loss first, then the
+windows that cover it in start order.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .rng import named_stream
 from .tensor import Graph, Tensor
 
 MODES = ("bp", "greedy_local", "mlm_only", "lam_only", "mlaan")
-MLAAN_RULES = ("literal_eq11", "ema_teacher")
+MLAAN_RULES = ("ema_teacher",)
 
 
 @dataclass
@@ -42,13 +50,16 @@ class TrainerMode:
 
     def __post_init__(self):
         if self.kind not in MODES:
-            raise ConfigError(f"unknown trainer mode {self.kind!r}")
+            raise ConfigError(f"trainer.mode must be one of {MODES}, got {self.kind!r}")
         if self.mlaan_rule not in MLAAN_RULES:
-            raise ConfigError(f"unknown mlaan_rule {self.mlaan_rule!r}")
-        if not 0.0 < self.r < 1.0:
-            raise ConfigError(f"EMA rate r must be in (0,1), got {self.r}")
+            raise ConfigError(f"trainer.mlaan_rule must be one of {MLAAN_RULES}, "
+                              f"got {self.mlaan_rule!r}")
         if self.p < 0:
-            raise ConfigError(f"p must be >= 0, got {self.p}")
+            raise ConfigError(f"trainer.p must be >= 0, got {self.p}")
+        if not 0.0 < self.r < 1.0:
+            raise ConfigError(f"trainer.r must lie in (0, 1), got {self.r}")
+        if self.sync_period < -1:
+            raise ConfigError(f"trainer.sync_period must be >= -1, got {self.sync_period}")
 
 
 @dataclass
@@ -147,7 +158,6 @@ class Trainer:
         self.step_index = 0
         self.total_steps = opt_cfg.total_steps
         self.last_accum_counts = {}
-        self._eq11_buffers = {}
 
     # ------------------------------------------------------------------
     # single step
@@ -161,7 +171,6 @@ class Trainer:
 
     def _abort(self, kind: str, value: float):
         self.optimizer.zero_grad()
-        self._eq11_buffers.clear()
         raise TrainingDiverged(
             f"non-finite {kind} loss ({value}) at optimizer step {self.step_index}")
 
@@ -180,110 +189,69 @@ class Trainer:
         return StepReport({}, {}, value, lr_now, self.meter.step_peak)
 
     def _step_local(self, bx, by, lr_now) -> StepReport:
-        mode = self.mode
-        boundaries = [Tensor(bx)]
-        self.meter.on_retain(boundaries[0].size, ("boundary0", "main"))
         ind_losses = {}
         casc_losses = {}
+        window_ending = {group.last.index: group for group in self.cascades}
+        live = {}  # module index -> (body tape, features) while a window needs it
+        h = bx
         try:
             for m in self.modules:
                 j = m.index
-                with Graph(f"module{j}", meter=self.meter) as g:
-                    g.section = "main"
-                    feats = m.forward_body(boundaries[-1], training=True, update_stats=True)
-                    if m.tail is not None:
-                        logits = m.finish(feats)
-                    else:
-                        g.section = "aux"
-                        h = feats
-                        if mode.kind == "lam_only" and j in self.pairs:
-                            h = self.pairs[j].apply(h)
-                        logits = self.heads[j](h)
-                    loss = ops.softmax_cross_entropy(logits, by)
-                    value = float(loss.data)
-                    if not np.isfinite(value):
-                        g.release()
-                        self._abort(f"module {j}", value)
-                    g.backward(loss)
-                    g.release()
-                ind_losses[j] = value
-                if j < self.K:
-                    nxt = Tensor(feats.data)
-                    boundaries.append(nxt)
-                    self.meter.on_retain(nxt.size, (f"boundary{j}", "main"))
+                with Graph(f"module{j}", meter=self.meter) as body:
+                    feats = m.forward_body(Tensor(h, requires_grad=bool(self.cascades)),
+                                           training=True)
+                live[j] = (body, feats)
+                pair = self.pairs.get(j) if self.mode.kind == "lam_only" else None
+                ind_losses[j], grad = self._supervise(
+                    "module", j, feats, by, self.heads.get(j), pair, 1.0)
+                body.backward(feats, grad)
 
-            for group in self.cascades:
-                with Graph(f"cascade{group.start}", meter=self.meter) as g:
-                    g.section = "main"
-                    h = boundaries[group.start - 1]
-                    for m in group.members:
-                        h = m.forward_body(h, training=True, update_stats=False)
-                    if group.last.tail is not None:
-                        logits = group.last.finish(h)
-                    else:
-                        g.section = "aux"
-                        if group.pair is not None:
-                            h = group.pair.apply(h)
-                        logits = group.head(h)
-                    loss = ops.softmax_cross_entropy(logits, by)
-                    value = float(loss.data)
-                    if not np.isfinite(value):
-                        g.release()
-                        self._abort(f"cascade {group.start}", value)
-                    self._backward_cascade(g, loss, group)
-                    g.release()
-                casc_losses[group.start] = value
+                group = window_ending.get(j)
+                if group is not None:
+                    casc_losses[group.start], grad = self._supervise(
+                        "cascade", group.start, feats, by, group.head, group.pair,
+                        self.cascade_seed)
+                    for i in range(j, group.start - 1, -1):
+                        tape, out = live[i]
+                        grad = tape.backward(out, grad)
+
+                open_from = min((g.start for g in self.cascades if g.last.index > j),
+                                default=j + 1)
+                for i in [i for i in live if i < open_from]:
+                    live.pop(i)[0].release()
+                h = feats.data
         finally:
-            for i, b in enumerate(boundaries):
-                self.meter.on_release(b.size, (f"boundary{i}", "main"))
+            for tape, _ in live.values():
+                tape.release()
 
         self._snapshot_counters()
         self.optimizer.step(lr_now)
-        self._apply_literal_rule(lr_now)
         for j in sorted(self.pairs):
             self.pairs[j].ema_step()
         return StepReport(ind_losses, casc_losses, ind_losses[self.K], lr_now,
                           self.meter.step_peak)
 
-    def _backward_cascade(self, g: Graph, loss, group) -> None:
-        """Backward one cascade loss at the cascaded rate. Under the literal
-        combined rule, the final member's gradient share is diverted into a
-        separate buffer so it can be applied by the closed-form update."""
-        literal = (self.mode.kind == "mlaan"
-                   and self.mode.mlaan_rule == "literal_eq11"
-                   and group.pair is not None)
-        if not literal:
-            g.backward(loss, seed=self.cascade_seed)
-            return
-        last_params = group.last.parameters()
-        before = [p.grad.copy() for p in last_params]
-        g.backward(loss, seed=self.cascade_seed)
-        bufs = self._eq11_buffers.setdefault(
-            group.last.index, [np.zeros_like(p.grad) for p in last_params])
-        for p, snap, buf in zip(last_params, before, bufs):
-            buf += (p.grad - snap) / self.cascade_seed
-            p.grad[...] = snap
-
-    def _apply_literal_rule(self, lr_now: float) -> None:
-        if not self._eq11_buffers:
-            return
-        for s, bufs in self._eq11_buffers.items():
-            pair = self.pairs[s]
-            lam = np.concatenate([p.data.reshape(-1)
-                                  for unit in pair.phi_double
-                                  for p in unit.parameters()])
-            params = self.modules[s - 1].parameters()
-            offset = 0
-            for p, grad in zip(params, bufs):
-                n = p.data.size
-                piece = lam[offset:offset + n]
-                if piece.size < n:
-                    piece = np.concatenate(
-                        [piece, np.zeros(n - piece.size, dtype=lam.dtype)])
-                offset += n
-                p.data = eq11_update(p.data, piece.reshape(p.data.shape).astype(p.data.dtype),
-                                     grad, lr_now, self.mode.r)
-        self._eq11_buffers = {}
+    def _supervise(self, kind: str, index: int, feats: Tensor, by, head, pair,
+                   seed: float):
+        """One supervision head on its own tape, reading a leaf copy of
+        `feats`: the pathway's aux head (behind `pair`'s replicas when
+        given), or the backbone's classifier when `head` is None. Backward
+        its loss scaled by `seed`; return the loss and the gradient at
+        `feats`, which the caller pushes through the body tapes."""
+        with Graph(f"{kind}{index}", meter=self.meter,
+                   section="main" if head is None else "aux") as g:
+            try:
+                x = Tensor(feats.data, requires_grad=True)
+                if pair is not None:
+                    x = pair.apply(x)
+                logits = self.modules[-1].finish(x) if head is None else head(x)
+                loss = ops.softmax_cross_entropy(logits, by)
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    self._abort(f"{kind} {index}", value)
+                return value, g.backward(loss, seed)
+            finally:
+                g.release()
 
     def _snapshot_counters(self) -> None:
         self.last_accum_counts = {p.name: p.accum_count for p in self.all_params}

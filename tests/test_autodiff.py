@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mlaan import ops
+from mlaan.errors import GraphError
 from mlaan.optim import finite_diff_check
 from mlaan.tensor import Graph, Parameter, Tensor, set_default_dtype
 
@@ -178,3 +179,58 @@ class TestTapeMechanics:
             g.backward(ops.sum_all(out))
             g.release()
         assert out.node is None
+
+    def test_chained_tapes_match_one_tape(self):
+        # Split the way a module body ends: after conv -> batch norm -> relu,
+        # whose output keeps the conv output's strided layout. The far tape
+        # reads the split twice (conv and residual add). Seeding the near
+        # tape with the far tape's input gradient must reproduce the
+        # one-tape parameter and input gradients bit for bit, so the chain
+        # may neither copy the seed into another layout (that reorders the
+        # batch-norm backward sums) nor drop one of the leaf's consumers.
+        gen = np.random.default_rng(21)
+        f32 = np.float32
+        x0 = gen.standard_normal((3, 2, 6, 6)).astype(f32)
+        w1 = Parameter("w1", gen.standard_normal((4, 2, 3, 3)) * 0.4, dtype=f32)
+        gamma = Parameter("gamma", gen.uniform(0.5, 1.5, 4), dtype=f32)
+        beta = Parameter("beta", gen.standard_normal(4) * 0.1, dtype=f32)
+        w2 = Parameter("w2", gen.standard_normal((4, 4, 3, 3)) * 0.3, dtype=f32)
+        fc = Parameter("fc", gen.standard_normal((4, 5)), dtype=f32)
+        params = [w1, gamma, beta, w2, fc]
+        labels = np.array([0, 3, 1])
+
+        def near(x):
+            b, _, _ = ops.batchnorm2d_train(ops.conv2d(x, w1), gamma, beta)
+            return ops.relu(b)
+
+        def far(h):
+            z = ops.relu(ops.residual_add(ops.conv2d(h, w2), h))
+            return ops.softmax_cross_entropy(ops.matmul(ops.global_avg_pool(z), fc), labels)
+
+        def grads(split):
+            for q in params:
+                q.zero_grad()
+            x = Tensor(x0, requires_grad=True)
+            if split:
+                with Graph("near") as g_near:
+                    h = near(x)
+                with Graph("far") as g_far:
+                    gh = g_far.backward(far(Tensor(h.data, requires_grad=True)))
+                gx = g_near.backward(h, seed=gh)
+            else:
+                with Graph("one") as g:
+                    gx = g.backward(far(near(x)))
+            return [gx] + [q.grad.copy() for q in params], [q.accum_count for q in params]
+
+        (one, one_counts), (two, two_counts) = grads(False), grads(True)
+        assert one[0].shape == x0.shape and np.any(one[0])
+        for a, b in zip(one, two):
+            assert a.dtype == b.dtype == f32 and a.tobytes() == b.tobytes()
+        assert one_counts == two_counts == [1] * len(params)
+
+    def test_backward_seed_must_match_loss_shape(self):
+        w = p("w", np.ones((2, 3)))
+        with Graph("g") as g:
+            h = ops.relu(w)
+            with pytest.raises(GraphError):
+                g.backward(h, seed=np.ones(3))

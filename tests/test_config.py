@@ -58,6 +58,8 @@ def test_unknown_keys_are_named_precisely():
     ({"dataset": {"kind": "imagefolder"}}, "dataset.kind"),
     ({"dataset": {"kind": "idx", "paths": ["a", "b"]}}, "idx"),
     ({"dataset": {"noise_scale": 0.0}}, "noise_scale"),
+    ({"trainer": {"r": 0.0}}, "trainer.r"),             # EMA rate is open (0, 1)
+    ({"trainer": {"r": 1.0}}, "trainer.r"),
 ])
 def test_validation_rejections(patch, fragment):
     with pytest.raises(mlaan.ConfigError, match=fragment):

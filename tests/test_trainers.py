@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import mlaan
+from mlaan import ops
 from mlaan.network import warmup_batch_stats
+from mlaan.tensor import Graph, Tensor
 from mlaan.training import eq10_update, eq11_update
 from conftest import make_trainer
 
@@ -139,14 +141,72 @@ def test_step_reports_losses_for_every_pathway():
 
 
 def test_nonfinite_input_aborts_and_clears_grads():
-    tr = make_trainer("mlaan", K=3, k=2, p=1, mlaan_rule="literal_eq11")
+    tr = make_trainer("mlaan", K=3, k=2, p=1)
     bx, by = small_batch(tr)
     bx[0, 0, 0, 0] = np.nan
     with pytest.raises(mlaan.TrainingDiverged):
         tr.step(bx, by, 0.05)
-    assert tr._eq11_buffers == {}
     for p in tr.all_params:
         assert not np.any(p.grad)
+
+
+def reforward_reference(tr, bx, by):
+    """Accumulate one local step's gradients the long way: each module
+    pathway on one tape, then each cascade window forwarded again through
+    its members on one tape, leaving batch-norm statistics alone."""
+    boundaries = [Tensor(bx)]
+    for m in tr.modules:
+        with Graph(f"module{m.index}") as g:
+            feats = m.forward_body(boundaries[-1], training=True)
+            if m.tail is not None:
+                logits = m.finish(feats)
+            else:
+                h = feats
+                if tr.mode.kind == "lam_only" and m.index in tr.pairs:
+                    h = tr.pairs[m.index].apply(h)
+                logits = tr.heads[m.index](h)
+            g.backward(ops.softmax_cross_entropy(logits, by))
+        boundaries.append(Tensor(feats.data))
+    for group in tr.cascades:
+        with Graph(f"cascade{group.start}") as g:
+            h = boundaries[group.start - 1]
+            for m in group.members:
+                h = m.forward_body(h, training=True, update_stats=False)
+            if group.head is None:
+                logits = group.last.finish(h)
+            else:
+                logits = group.head(group.pair.apply(h) if group.pair else h)
+            g.backward(ops.softmax_cross_entropy(logits, by), seed=tr.cascade_seed)
+
+
+@pytest.mark.parametrize("kind", ["mlm_only", "lam_only", "mlaan"])
+def test_step_matches_reforward_reference_with_one_forward(kind, monkeypatch):
+    trainer, reference = (make_trainer(kind, K=4, depth=10, k=3, p=1) for _ in range(2))
+    bx, by = small_batch(trainer)
+    calls = []
+    conv = ops.conv2d
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return conv(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", counted)
+    monkeypatch.setattr(trainer.optimizer, "step", lambda lr_now: None)
+    trainer.step(bx, by, 0.05)
+    monkeypatch.undo()
+    reforward_reference(reference, bx, by)
+
+    # stem, units, module heads, window heads, replica units: nothing twice
+    expected = (1 + len(trainer.backbone.units) + len(trainer.heads)
+                + sum(g.head is not None for g in trainer.cascades)
+                + sum(len(pair.phi_prime) + pair.ema_count for pair in trainer.pairs.values()))
+    assert len(calls) == expected
+    for got, want in zip(trainer.all_params, reference.all_params):
+        assert got.grad.tobytes() == want.grad.tobytes(), got.name
+        assert got.accum_count == want.accum_count, got.name
+    for got, want in zip(trainer.backbone.batchnorms(), reference.backbone.batchnorms()):
+        assert got.running_mean.tobytes() == want.running_mean.tobytes()
+        assert got.running_var.tobytes() == want.running_var.tobytes()
 
 
 def test_fit_tolerates_two_bad_steps(tiny_data):
@@ -212,26 +272,6 @@ def test_combined_update_value():
     out = eq10_update(np.array([1.0]), np.array([0.5]), np.array([2.0]), 0.1, 0.9)
     # 1 - 0.9*0.5 - 1.1*0.1*2
     assert out.item() == pytest.approx(1.0 - 0.45 - 0.22)
-
-
-def test_literal_rule_buffers_are_consumed_each_step():
-    tr = make_trainer("mlaan", K=3, k=2, p=1, mlaan_rule="literal_eq11")
-    bx, by = small_batch(tr)
-    tr.step(bx, by, 0.05)
-    assert tr._eq11_buffers == {}
-
-
-def test_literal_and_teacher_rules_diverge_in_trajectory():
-    results = {}
-    for rule in ("ema_teacher", "literal_eq11"):
-        tr = make_trainer("mlaan", K=3, k=2, p=1, mlaan_rule=rule)
-        bx, by = small_batch(tr)
-        for _ in range(3):
-            tr.step(bx, by, 0.05)
-        results[rule] = [p.data.copy() for p in tr.backbone.parameters()]
-    same = all(np.array_equal(a, b) for a, b in
-               zip(results["ema_teacher"], results["literal_eq11"]))
-    assert not same
 
 
 # ---------------------------------------------------------------------------
