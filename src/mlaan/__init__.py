@@ -9,7 +9,7 @@ from .network import (Backbone, BackboneConfig, build_backbone,
                       build_leap_replicas, partition)
 from .training import MODES, Trainer, TrainerMode, evaluate
 from .analysis import (ActivationMeter, MemoryReport, MetricsRecorder,
-                       cka_linear, layerwise_cka, linear_probe,
+                       cka_linear, layerwise_cka, linear_probe, linear_probes,
                        meter_peak_activations)
 from .data import Dataset, load_cifar10_bin, load_idx, subsample, synth_dataset
 from .config import ExperimentConfig, config_from_dict, load_config
@@ -25,7 +25,7 @@ __all__ = [
     "Backbone", "BackboneConfig", "build_backbone", "partition", "build_leap_replicas",
     "MODES", "Trainer", "TrainerMode", "evaluate",
     "ActivationMeter", "MemoryReport", "MetricsRecorder", "cka_linear",
-    "layerwise_cka", "linear_probe", "meter_peak_activations",
+    "layerwise_cka", "linear_probe", "linear_probes", "meter_peak_activations",
     "Dataset", "load_idx", "load_cifar10_bin", "synth_dataset", "subsample",
     "ExperimentConfig", "config_from_dict", "load_config",
     "save_checkpoint", "load_checkpoint", "restore_into",

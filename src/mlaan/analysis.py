@@ -62,11 +62,6 @@ class MemoryReport:
     per_module: dict
     bytes_estimate: int
 
-    def as_dict(self):
-        return {"mode": self.mode, "peak_elements": self.peak_elements,
-                "main_peak": self.main_peak, "aux_peak": self.aux_peak,
-                "per_module": self.per_module, "bytes_estimate": self.bytes_estimate}
-
 
 def meter_peak_activations(trainer, bx: np.ndarray, by: np.ndarray,
                            lr_now: float = 0.0) -> MemoryReport:
@@ -91,47 +86,61 @@ def meter_peak_activations(trainer, bx: np.ndarray, by: np.ndarray,
 # feature extraction and probes
 # ---------------------------------------------------------------------------
 
-def module_features(modules, x: np.ndarray, layer: int, batch_size: int = 256) -> np.ndarray:
-    """Global-pooled eval-mode features of module `layer`'s body output."""
-    if not 1 <= layer <= len(modules):
-        raise ConfigError(f"layer {layer} out of range 1..{len(modules)}")
-    outs = []
+def module_features(modules, x: np.ndarray, *, batch_size: int = 256) -> list:
+    """Global-pooled eval-mode features of every module's body output, in
+    module order. Each batch goes through the modules once."""
+    outs = [[] for _ in modules]
     for at in range(0, len(x), batch_size):
         h = Tensor(x[at:at + batch_size])
-        for m in modules[:layer]:
+        for m, out in zip(modules, outs):
             h = m.forward_body(h, training=False)
-        outs.append(ops.global_avg_pool(h).data)
-    return np.concatenate(outs, axis=0)
+            out.append(ops.global_avg_pool(h).data)
+    return [np.concatenate(out, axis=0) for out in outs]
+
+
+def linear_probes(modules, layers, data, probe_epochs: int = 30,
+                  probe_lr: float = 0.1, batch_size: int = 64, seed: int = 0) -> list:
+    """Per module number in `layers` (1-based), a fresh linear classifier's test
+    error on frozen, pooled features from one pass over modules[:max(layers)].
+    Main-network parameters are read, never written."""
+    for layer in layers:
+        if not 1 <= layer <= len(modules):
+            raise ConfigError(f"layer {layer} out of range 1..{len(modules)}")
+    top = max(layers, default=0)
+    train_all = module_features(modules[:top], data.train_x)
+    test_all = module_features(modules[:top], data.test_x)
+    classes = int(max(data.train_y.max(), data.test_y.max())) + 1
+    results = []
+    for layer in layers:
+        train_f, test_f = train_all[layer - 1], test_all[layer - 1]
+        probe = Linear(f"probe{layer}", train_f.shape[1], classes,
+                       named_stream(seed, f"probe/init/{layer}"))
+        n = len(train_f)
+        steps_per_epoch = max(1, n // batch_size)
+        total = probe_epochs * steps_per_epoch
+        opt = SGDNesterov(probe.parameters(), OptimizerConfig(lr=probe_lr, total_steps=total))
+        gen = named_stream(seed, f"probe/shuffle/{layer}")
+        step = 0
+        for _ in range(probe_epochs):
+            perm = gen.permutation(n)
+            for b in range(steps_per_epoch):
+                idx = perm[b * batch_size:(b + 1) * batch_size]
+                with Graph(f"probe{layer}") as g:
+                    loss = ops.softmax_cross_entropy(probe(Tensor(train_f[idx])),
+                                                     data.train_y[idx])
+                    g.backward(loss)
+                    g.release()
+                opt.step(cosine_annealing_lr(step, probe_lr, 0.0, total))
+                step += 1
+        preds = probe(Tensor(test_f)).data.argmax(axis=1)
+        results.append({"layer": layer, "value": float((preds != data.test_y).mean())})
+    return results
 
 
 def linear_probe(modules, layer: int, data, probe_epochs: int = 30,
                  probe_lr: float = 0.1, batch_size: int = 64, seed: int = 0) -> dict:
-    """Train a fresh linear classifier on frozen, pooled module-`layer`
-    features and report its test error. Main-network parameters are read,
-    never written."""
-    train_f = module_features(modules, data.train_x, layer)
-    test_f = module_features(modules, data.test_x, layer)
-    classes = int(max(data.train_y.max(), data.test_y.max())) + 1
-    probe = Linear(f"probe{layer}", train_f.shape[1], classes,
-                   named_stream(seed, f"probe/init/{layer}"))
-    n = len(train_f)
-    steps_per_epoch = max(1, n // batch_size)
-    total = probe_epochs * steps_per_epoch
-    opt = SGDNesterov(probe.parameters(), OptimizerConfig(lr=probe_lr, total_steps=total))
-    gen = named_stream(seed, f"probe/shuffle/{layer}")
-    step = 0
-    for _ in range(probe_epochs):
-        perm = gen.permutation(n)
-        for b in range(steps_per_epoch):
-            idx = perm[b * batch_size:(b + 1) * batch_size]
-            with Graph(f"probe{layer}") as g:
-                loss = ops.softmax_cross_entropy(probe(Tensor(train_f[idx])), data.train_y[idx])
-                g.backward(loss)
-                g.release()
-            opt.step(cosine_annealing_lr(step, probe_lr, 0.0, total))
-            step += 1
-    preds = probe(Tensor(test_f)).data.argmax(axis=1)
-    return {"layer": layer, "value": float((preds != data.test_y).mean())}
+    """`linear_probes` for the one module `layer`."""
+    return linear_probes(modules, [layer], data, probe_epochs, probe_lr, batch_size, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +171,8 @@ def layerwise_cka(modules_a, modules_b, x: np.ndarray):
         raise ConfigError(
             f"architecture mismatch: {len(modules_a)} vs {len(modules_b)} modules")
     results = []
-    for layer in range(1, len(modules_a) + 1):
-        fa = module_features(modules_a, x, layer)
-        fb = module_features(modules_b, x, layer)
+    pairs = zip(module_features(modules_a, x), module_features(modules_b, x))
+    for layer, (fa, fb) in enumerate(pairs, start=1):
         if fa.shape != fb.shape:
             raise ConfigError(f"architecture mismatch at layer {layer}: "
                               f"{fa.shape} vs {fb.shape}")

@@ -11,16 +11,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import checkpoint as ckpt_mod
 from . import data as data_mod
-from .analysis import MetricsRecorder, layerwise_cka, linear_probe, meter_peak_activations
+from .analysis import MetricsRecorder, layerwise_cka, linear_probes, meter_peak_activations
 from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import CheckpointError, ConfigError, DataError, MlaanError
 from .network import build_backbone
-from .optim import OptimizerConfig
 from .tensor import set_default_dtype
 from .training import MODES, Trainer, evaluate as evaluate_network
 
@@ -68,18 +68,12 @@ def build_trainer(cfg: ExperimentConfig) -> Trainer:
     b = cfg.backbone
     backbone = build_backbone(b.depth, b.width, b.classes, b.input_shape,
                               seed=cfg.run.seed)
-    o = cfg.optimizer
-    opt = OptimizerConfig(lr=o.lr, min_lr=o.min_lr, lr_cascaded=o.lr_cascaded,
-                          momentum=o.momentum, weight_decay=o.weight_decay)
-    return Trainer(backbone, cfg.partition.K, cfg.trainer.build(), opt, cfg.run.seed)
+    return Trainer(backbone, cfg.partition.K, cfg.trainer.build(), cfg.optimizer.build(),
+                   cfg.run.seed)
 
 
-def _out_dir(args, cfg: ExperimentConfig = None) -> str:
-    if args.out:
-        return args.out
-    if cfg is not None:
-        return cfg.out_dir()
-    return os.environ.get("MLAAN_OUT", ".")
+def _out_dir(args, cfg: ExperimentConfig) -> str:
+    return args.out or cfg.out_dir()
 
 
 def _write_json(path: str, payload) -> None:
@@ -152,15 +146,10 @@ def resize_images(x: np.ndarray, target_hw, policy: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    recorder = MetricsRecorder()
     if args.resume:
-        ckpt = ckpt_mod.load_checkpoint(args.resume)
-        if not ckpt.sidecar or "config" not in ckpt.sidecar:
-            raise CheckpointError(f"{args.resume}: missing sidecar; cannot resume")
-        cfg = config_from_dict(ckpt.sidecar["config"])
-        trainer = build_trainer(cfg)
-        ckpt_mod.restore_into(trainer, ckpt)
+        cfg, trainer, ckpt = _load_trained(args.resume)
         start_epoch = ckpt.epoch
-        recorder = MetricsRecorder()
         for row in ckpt.sidecar.get("metrics", []):
             recorder.append(**row)
         wall_offset = recorder.rows[-1]["wall_time_s"] if recorder.rows else 0.0
@@ -170,7 +159,6 @@ def cmd_train(args) -> int:
         cfg = load_config(args.config)
         trainer = build_trainer(cfg)
         start_epoch = 0
-        recorder = MetricsRecorder()
         wall_offset = 0.0
 
     data = build_dataset(cfg)
@@ -218,10 +206,8 @@ def cmd_probe(args) -> int:
     cfg, trainer, _ = _load_trained(args.checkpoint)
     data = build_dataset(cfg)
     layers = list(range(1, len(trainer.modules) + 1)) if args.all else [args.layer]
-    results = []
-    for layer in layers:
-        res = linear_probe(trainer.modules, layer, data, seed=cfg.run.seed)
-        results.append(res)
+    results = linear_probes(trainer.modules, layers, data, seed=cfg.run.seed)
+    for res in results:
         print(f"layer {res['layer']}: probe_error={res['value']:.4f}")
     _write_json(os.path.join(_out_dir(args, cfg), "probe.json"), results)
     return 0
@@ -246,10 +232,10 @@ def cmd_memstat(args) -> int:
     bx = data.train_x[:cfg.run.batch_size]
     by = data.train_y[:cfg.run.batch_size]
 
-    report = meter_peak_activations(build_trainer(cfg), bx, by).as_dict()
+    report = asdict(meter_peak_activations(build_trainer(cfg), bx, by))
     bp_cfg = config_from_dict({**cfg.to_dict(),
                                "trainer": {**cfg.to_dict()["trainer"], "mode": "bp"}})
-    bp_report = meter_peak_activations(build_trainer(bp_cfg), bx, by).as_dict()
+    bp_report = asdict(meter_peak_activations(build_trainer(bp_cfg), bx, by))
     peak = report["peak_elements"]
     payload = {
         "configured": report,

@@ -11,6 +11,7 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
+from .optim import OptimizerConfig
 from .training import TrainerMode
 
 DATASET_KINDS = ("idx", "cifar10bin", "synthetic")
@@ -61,6 +62,11 @@ class OptimizerSection:
     momentum: float = 0.9
     weight_decay: float = 1e-4
 
+    def build(self) -> OptimizerConfig:
+        """The optimizer settings this section describes; OptimizerConfig checks the values."""
+        return OptimizerConfig(lr=self.lr, min_lr=self.min_lr, lr_cascaded=self.lr_cascaded,
+                               momentum=self.momentum, weight_decay=self.weight_decay)
+
 
 @dataclass
 class RunSection:
@@ -94,7 +100,7 @@ class ExperimentConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
     def validate(self) -> "ExperimentConfig":
-        b, t, o, r, d = self.backbone, self.trainer, self.optimizer, self.run, self.dataset
+        b, t, r, d = self.backbone, self.trainer, self.run, self.dataset
         if r.seed is None:
             raise ConfigError("run.seed is required")
         if not isinstance(r.seed, int) or r.seed < 0:
@@ -121,10 +127,7 @@ class ExperimentConfig:
         if t.mode in ("mlm_only", "mlaan"):
             if not 1 < t.k <= self.partition.K:
                 raise ConfigError(f"trainer.k must lie in 2..K={self.partition.K}, got {t.k}")
-        if o.lr < 0 or o.min_lr < 0 or o.min_lr > o.lr:
-            raise ConfigError("optimizer.lr/min_lr must satisfy 0 <= min_lr <= lr")
-        if o.lr_cascaded is not None and o.lr_cascaded < 0:
-            raise ConfigError(f"optimizer.lr_cascaded must be >= 0, got {o.lr_cascaded}")
+        self.optimizer.build()
         if d.kind not in DATASET_KINDS:
             raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {d.kind!r}")
         if d.kind == "idx" and len(d.paths) != 4:

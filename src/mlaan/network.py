@@ -271,13 +271,11 @@ def build_leap_replicas(modules, j: int, p: int, r: float) -> LeapReplicaPair:
     return LeapReplicaPair(j, sources, phi_prime, phi_double, r, ema_count)
 
 
-def resync_replicas(pair: LeapReplicaPair, reseed_ema: bool = False) -> None:
-    """Re-copy phi' values from the live source units (phi'' too if asked)."""
-    targets = [pair.phi_prime] if not reseed_ema else [pair.phi_prime, pair.phi_double]
-    for group in targets:
-        for src, dst in zip(pair.sources, group):
-            for sp, dp in zip(src.parameters(), dst.parameters()):
-                np.copyto(dp.data, sp.data)
+def resync_replicas(pair: LeapReplicaPair) -> None:
+    """Re-copy phi' values from the live source units."""
+    for src, dst in zip(pair.sources, pair.phi_prime):
+        for sp, dp in zip(src.parameters(), dst.parameters()):
+            np.copyto(dp.data, sp.data)
 
 
 def warmup_batch_stats(backbone: Backbone, x: np.ndarray) -> None:

@@ -29,12 +29,15 @@ class OptimizerConfig:
     total_steps: int = 1
 
     def __post_init__(self):
-        if self.lr < 0 or self.min_lr < 0 or (self.lr_cascaded is not None and self.lr_cascaded < 0):
-            raise ConfigError("learning rates must be >= 0")
+        for key in ("lr", "min_lr", "lr_cascaded", "weight_decay"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ConfigError(f"optimizer.{key} must be >= 0, got {value}")
+        if self.min_lr > self.lr:
+            raise ConfigError(f"optimizer.min_lr must be <= optimizer.lr, "
+                              f"got {self.min_lr} > {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+            raise ConfigError(f"optimizer.momentum must lie in [0, 1), got {self.momentum}")
 
     def cascade_scale(self) -> float:
         """Ratio eta_c/eta_d folded into cascade-loss backward seeds."""

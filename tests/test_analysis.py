@@ -138,22 +138,38 @@ def test_module_features_shapes_and_composition(tiny_data):
     tr = make_trainer("bp", K=3, width=4)
     warmup_batch_stats(tr.backbone, tiny_data.train_x[:16])
     x = tiny_data.test_x[:10]
-    f2 = module_features(tr.modules, x, 2)
-    assert f2.shape == (10, 4)
-    # composing bodies by hand gives the same pooled features
+    feats = module_features(tr.modules, x, batch_size=4)  # uneven last batch
+    assert len(feats) == 3
+    # composing bodies by hand gives the same pooled features, module by module
     h = mlaan.Tensor(x)
-    for m in tr.modules[:2]:
+    for m, f in zip(tr.modules, feats):
         h = m.forward_body(h, training=False)
-    hand = h.data.mean(axis=(2, 3))
-    assert np.allclose(f2, hand, atol=1e-6)
+        assert f.shape == (10, h.shape[1])
+        assert np.allclose(f, h.data.mean(axis=(2, 3)), atol=1e-6)
 
 
-def test_module_features_layer_range(tiny_data):
+def test_module_features_batch_size_is_keyword_only(tiny_data):
     tr = make_trainer("bp", K=3)
-    with pytest.raises(mlaan.ConfigError):
-        module_features(tr.modules, tiny_data.test_x[:4], 0)
-    with pytest.raises(mlaan.ConfigError):
-        module_features(tr.modules, tiny_data.test_x[:4], 4)
+    with pytest.raises(TypeError):
+        module_features(tr.modules, tiny_data.test_x[:4], 2)
+
+
+def test_probe_layer_range(tiny_data):
+    tr = make_trainer("bp", K=3)
+    for layer in (0, 4):
+        with pytest.raises(mlaan.ConfigError, match="out of range"):
+            mlaan.linear_probe(tr.modules, layer, tiny_data, probe_epochs=1)
+        with pytest.raises(mlaan.ConfigError, match="out of range"):
+            mlaan.linear_probes(tr.modules, [1, layer], tiny_data, probe_epochs=1)
+
+
+def test_linear_probes_match_single_layer_probes(tiny_data):
+    tr = make_trainer("greedy_local", K=3)
+    tr.fit(tiny_data, epochs=1, batch_size=16)
+    for layers in ([1, 2, 3], [3, 1]):
+        rows = mlaan.linear_probes(tr.modules, layers, tiny_data, probe_epochs=3)
+        assert rows == [mlaan.linear_probe(tr.modules, layer, tiny_data, probe_epochs=3)
+                        for layer in layers]
 
 
 def test_probe_reads_but_never_writes(tiny_data):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mlaan
-from mlaan.cli import main, resize_images
+from mlaan.cli import build_dataset, main, resize_images
 
 
 def write_config(tmp_path, **overrides):
@@ -62,6 +62,14 @@ def test_resume_continues_from_checkpoint(tmp_path):
     rec = mlaan.MetricsRecorder.from_csv(os.path.join(out, "metrics.csv"))
     # resumed run re-reads the stored rows, then has nothing left to add
     assert [r["epoch"] for r in rec.rows] == [1, 2]
+
+
+def test_resume_without_sidecar_exits_one(trained_run, capsys):
+    _, out = trained_run
+    ckpt_path = os.path.join(out, "checkpoint.mlnn")
+    os.remove(ckpt_path + ".json")
+    assert main(["train", "--resume", ckpt_path]) == 1
+    assert "sidecar" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -122,6 +130,28 @@ def test_cka_against_self_is_unity(trained_run):
     assert main(["cka", "--checkpoint-a", ckpt, "--checkpoint-b", ckpt]) == 0
     results = json.load(open(os.path.join(out, "cka.json")))
     assert all(abs(r["value"] - 1.0) < 1e-6 for r in results)
+
+
+def test_probe_and_cka_forward_each_module_once_per_batch(trained_run, monkeypatch):
+    cfg_path, out = trained_run
+    ckpt = os.path.join(out, "checkpoint.mlnn")
+    cfg = mlaan.load_config(cfg_path)
+    data = build_dataset(cfg)
+    K = cfg.partition.K
+    calls = []
+    body = mlaan.network.LocalModule.forward_body
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return body(self, *args, **kwargs)
+    monkeypatch.setattr(mlaan.network.LocalModule, "forward_body", counted)
+
+    assert main(["probe", "--checkpoint", ckpt, "--all"]) == 0
+    batches = -(-len(data.train_x) // 256) + -(-len(data.test_x) // 256)
+    assert len(calls) == K * batches
+    calls.clear()
+    assert main(["cka", "--checkpoint-a", ckpt, "--checkpoint-b", ckpt]) == 0
+    assert len(calls) == 2 * K  # one batch of at most 256 test images per network
 
 
 def test_memstat_reports_reduction(tmp_path):

@@ -60,6 +60,8 @@ def test_unknown_keys_are_named_precisely():
     ({"dataset": {"noise_scale": 0.0}}, "noise_scale"),
     ({"trainer": {"r": 0.0}}, "trainer.r"),             # EMA rate is open (0, 1)
     ({"trainer": {"r": 1.0}}, "trainer.r"),
+    ({"optimizer": {"momentum": 1.0}}, "optimizer.momentum"),
+    ({"optimizer": {"weight_decay": -1.0}}, "optimizer.weight_decay"),
 ])
 def test_validation_rejections(patch, fragment):
     with pytest.raises(mlaan.ConfigError, match=fragment):
