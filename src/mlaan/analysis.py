@@ -20,14 +20,29 @@ CSV_HEADER = ("epoch", "train_loss", "test_error", "lr", "peak_elements", "wall_
 
 
 class ActivationMeter:
-    """Counts activation scalars retained for backward, keyed by
-    (pathway label, main|aux section). Parameters are excluded at the
-    recording site; only activation buffers are charged."""
+    """Counts activation scalars retained for backward, keyed by (pathway
+    label, main|aux section); parameters are excluded at the recording site.
+    A buffer held by several live tapes counts once, under the first tape's
+    key, until the last of them releases it."""
 
     def __init__(self):
         self.begin_step()
 
+    def hold(self, arr: np.ndarray, key) -> None:
+        entry = self.holders.setdefault(id(arr), [key, 0])
+        entry[1] += 1
+        if entry[1] == 1:
+            self.on_retain(arr.size, key)
+
+    def drop(self, arr: np.ndarray) -> None:
+        entry = self.holders[id(arr)]
+        entry[1] -= 1
+        if entry[1] == 0:
+            del self.holders[id(arr)]
+            self.on_release(arr.size, entry[0])
+
     def begin_step(self):
+        self.holders = {}  # id of a held buffer -> [key, number of tapes holding it]
         self.current = {}
         self.current_total = 0
         self.section_current = {}

@@ -82,12 +82,6 @@ def save_checkpoint(path: str, trainer, config_dict: dict, recorder=None,
     precision = _PRECISION_CODES[str(trainer.backbone.units[0].conv.w.dtype)]
     header = MAGIC + struct.pack("<IBQII", VERSION, precision,
                                  trainer.step_index, epoch, len(state))
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(digest)
-        fh.write(blob)
     from .rng import generator_state
     sidecar = {
         "config": config_dict,
@@ -96,8 +90,23 @@ def save_checkpoint(path: str, trainer, config_dict: dict, recorder=None,
         "rng": {"shuffle": generator_state(trainer.shuffle_gen)},
         "metrics": recorder.rows if recorder is not None else [],
     }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # temp files renamed over the targets, blob first: a save cut short keeps the old one
+    temps = {path + ".tmp": header + digest + blob,
+             path + ".json.tmp": json.dumps(sidecar, indent=1).encode()}
+    try:
+        for tmp, data in temps.items():
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for tmp in temps:
+            os.replace(tmp, tmp.removesuffix(".tmp"))
+    except BaseException:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
 
 
 @dataclass

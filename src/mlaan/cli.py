@@ -168,10 +168,14 @@ def cmd_train(args) -> int:
     def checkpoint_each_epoch(tr, epoch, rec):
         ckpt_mod.save_checkpoint(ckpt_path, tr, cfg.to_dict(), rec, epoch + 1)
 
-    recorder = trainer.fit(data, cfg.run.epochs, cfg.run.batch_size,
-                           recorder=recorder, start_epoch=start_epoch,
-                           wall_offset=wall_offset,
-                           on_epoch_end=checkpoint_each_epoch)
+    try:
+        recorder = trainer.fit(data, cfg.run.epochs, cfg.run.batch_size,
+                               recorder=recorder, start_epoch=start_epoch,
+                               wall_offset=wall_offset,
+                               on_epoch_end=checkpoint_each_epoch)
+    finally:
+        for step, message in trainer.skipped_steps:
+            print(f"skipped step {step}: {message}", file=sys.stderr)
     csv_path = os.path.join(out, "metrics.csv")
     recorder.to_csv(csv_path)
     if cfg.run.epochs == 0:

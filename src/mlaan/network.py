@@ -52,11 +52,8 @@ class Backbone:
                       for i in range(cfg.depth - 2)]
         self.classifier = Linear("classifier", cfg.width, cfg.classes, gen)
 
-    def stem_forward(self, x: Tensor, training: bool, update_stats: bool = True) -> Tensor:
-        return ops.relu(self.stem_bn(self.stem_conv(x), training, update_stats))
-
     def forward(self, x: Tensor, training: bool, update_stats: bool = True) -> Tensor:
-        h = self.stem_forward(x, training, update_stats)
+        h = ops.relu(self.stem_bn(self.stem_conv(x), training, update_stats))
         for unit in self.units:
             h = unit(h, training, update_stats)
         return self.classifier(ops.global_avg_pool(h))

@@ -135,7 +135,7 @@ class Graph:
         self.nodes: list[Node] = []
         self.meter = meter
         self.section = section
-        self._retained: dict[int, tuple[int, tuple]] = {}
+        self._retained: dict[int, np.ndarray] = {}
 
     # -- active-graph management -------------------------------------------
 
@@ -173,11 +173,9 @@ class Graph:
                     self._retain(t.data)
 
     def _retain(self, arr: np.ndarray) -> None:
-        key = id(arr)
-        if key in self._retained:
-            return
-        self._retained[key] = (arr.size, (self.label, self.section))
-        self.meter.on_retain(arr.size, (self.label, self.section))
+        if id(arr) not in self._retained:
+            self._retained[id(arr)] = arr
+            self.meter.hold(arr, (self.label, self.section))
 
     # -- backward -----------------------------------------------------------
 
@@ -251,8 +249,8 @@ class Graph:
     def release(self) -> None:
         """Drop all cached activations; boundary outputs become leaves."""
         if self.meter is not None:
-            for size, key in self._retained.values():
-                self.meter.on_release(size, key)
+            for arr in self._retained.values():
+                self.meter.drop(arr)
             self._retained.clear()
         for node in self.nodes:
             node.output.node = None

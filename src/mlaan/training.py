@@ -2,14 +2,15 @@
 leap-augmented, and the full combined method, plus the epoch loop and
 evaluation.
 
-Gradient isolation is structural. A local step forwards each module once,
-on its own tape, from a leaf copy of the previous module's output. Each
-supervision head (a module's own head, or a cascade window's head) runs on
-a separate tape over a leaf copy of the features it grades; its gradient
-at those features is pushed back through the body tapes of exactly the
-modules it supervises, and never further. A body tape stays alive only
-while a cascade window that covers it is still open, so at most k module
-tapes are held at once.
+Every rule is a set of supervision signals: one loss on one module's output,
+trained into modules start..end and no further. Greedy local gives each
+module a head, a cascade window gives one head to k modules, and BP is one
+signal, the classifier over all K modules. One step serves every rule: it
+forwards each module once, on its own tape, from a leaf copy of the previous
+module's output; each signal runs on its own tape over a leaf copy of the
+features it reads, and its gradient there is pushed back through the body
+tapes of the modules it trains. A body tape lives while a signal covering it
+is still to run: at most k tapes at once, or all K for BP.
 
 Two learning rates are realized with one optimizer by scaling cascade-loss
 backward seeds by eta_c/eta_d, so all supervision terms accumulate into one
@@ -29,8 +30,10 @@ import numpy as np
 from . import ops
 from .analysis import ActivationMeter, MetricsRecorder
 from .errors import ConfigError, DataError, TrainingDiverged
-from .network import (Backbone, attach_cascade_groups, attach_independent_heads,
-                      build_leap_replicas, partition, resync_replicas)
+from .layers import AuxHead
+from .network import (Backbone, LeapReplicaPair, attach_cascade_groups,
+                      attach_independent_heads, build_leap_replicas, partition,
+                      resync_replicas)
 from .optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
 from .rng import named_stream
 from .tensor import Graph, Tensor
@@ -69,6 +72,21 @@ class StepReport:
     final_loss: float
     lr_now: float
     peak_elements: int
+
+
+@dataclass
+class Signal:
+    """A loss on the output of the module it is planned at, read by `head` (the
+    classifier when None) behind `pair`'s replicas, trained into modules start..that one."""
+    kind: str  # "module", "cascade" or "bp"
+    start: int
+    head: Optional[AuxHead] = None
+    pair: Optional[LeapReplicaPair] = None
+    seed: float = 1.0
+
+    @property
+    def label(self) -> str:
+        return "bp" if self.kind == "bp" else f"{self.kind}{self.start}"
 
 
 def _leap_combined_update(theta, lam, grad, eta: float, r: float):
@@ -117,30 +135,26 @@ class Trainer:
         classes = backbone.cfg.classes
         self.cascade_seed = opt_cfg.cascade_scale()
 
-        self.heads = {}
-        self.cascades = []
-        self.pairs = {}
         local = mode.kind != "bp"
-        if local and K > 1:
-            self.heads = attach_independent_heads(self.modules, classes, seed)
-        if mode.kind in ("mlm_only", "mlaan") and self.cascade_seed != 0.0:
-            self.cascades = attach_cascade_groups(self.modules, mode.k, classes, seed)
-        if mode.kind == "lam_only" and mode.p > 0:
-            for m in self.modules[:-1]:
-                avail = sum(len(mm.units) for mm in self.modules[m.index:])
-                if avail:
-                    self.pairs[m.index] = build_leap_replicas(
-                        self.modules, m.index, min(mode.p, avail), mode.r)
-        if mode.kind == "mlaan" and mode.p > 0:
-            for group in self.cascades:
-                s = group.last.index
-                if s >= K:
-                    continue
-                avail = sum(len(mm.units) for mm in self.modules[s:])
-                if avail:
-                    group.pair = build_leap_replicas(
-                        self.modules, s, min(mode.p, avail), mode.r)
-                    self.pairs[s] = group.pair
+        self.heads = attach_independent_heads(self.modules, classes, seed) if local and K > 1 else {}
+        self.cascades = (attach_cascade_groups(self.modules, mode.k, classes, seed)
+                         if mode.kind in ("mlm_only", "mlaan") and self.cascade_seed else [])
+        self.plan = {m.index: [Signal("module", m.index, self.heads.get(m.index))] if local else []
+                     for m in self.modules}  # module j -> the signals that read its output
+        if not local:
+            self.plan[K].append(Signal("bp", 1))
+        for group in self.cascades:
+            self.plan[group.last.index].append(
+                Signal("cascade", group.start, group.head, seed=self.cascade_seed))
+        self.pairs = {}
+        leap_kind = {"lam_only": "module", "mlaan": "cascade"}.get(mode.kind) if mode.p else None
+        for j in range(1, K):
+            for sig in self.plan[j]:
+                if sig.kind == leap_kind:  # p is capped by the units after module j
+                    p = min(mode.p, sum(len(m.units) for m in self.modules[j:]))
+                    sig.pair = self.pairs[j] = build_leap_replicas(self.modules, j, p, mode.r)
+        for group in self.cascades:
+            group.pair = self.pairs.get(group.last.index)
 
         params = list(backbone.parameters())
         for j in sorted(self.heads):
@@ -158,6 +172,7 @@ class Trainer:
         self.step_index = 0
         self.total_steps = opt_cfg.total_steps
         self.last_accum_counts = {}
+        self.skipped_steps = []  # (step index, message) of each diverged step fit skipped
 
     # ------------------------------------------------------------------
     # single step
@@ -165,96 +180,57 @@ class Trainer:
 
     def step(self, bx: np.ndarray, by: np.ndarray, lr_now: float) -> StepReport:
         self.meter.begin_step()
-        if self.mode.kind == "bp":
-            return self._step_bp(bx, by, lr_now)
-        return self._step_local(bx, by, lr_now)
-
-    def _abort(self, kind: str, value: float):
-        self.optimizer.zero_grad()
-        raise TrainingDiverged(
-            f"non-finite {kind} loss ({value}) at optimizer step {self.step_index}")
-
-    def _step_bp(self, bx, by, lr_now) -> StepReport:
-        with Graph("bp", meter=self.meter) as g:
-            logits = self.backbone.forward(Tensor(bx), training=True)
-            loss = ops.softmax_cross_entropy(logits, by)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                g.release()
-                self._abort("global", value)
-            g.backward(loss)
-            g.release()
-        self._snapshot_counters()
-        self.optimizer.step(lr_now)
-        return StepReport({}, {}, value, lr_now, self.meter.step_peak)
-
-    def _step_local(self, bx, by, lr_now) -> StepReport:
-        ind_losses = {}
-        casc_losses = {}
-        window_ending = {group.last.index: group for group in self.cascades}
-        live = {}  # module index -> (body tape, features) while a window needs it
+        losses = {"module": {}, "cascade": {}, "bp": {}}
+        live = {}  # module index -> (body tape, features) while a signal needs it
         h = bx
         try:
-            for m in self.modules:
-                j = m.index
-                with Graph(f"module{j}", meter=self.meter) as body:
-                    feats = m.forward_body(Tensor(h, requires_grad=bool(self.cascades)),
-                                           training=True)
+            for j, m in enumerate(self.modules, start=1):
+                todo = [sig for e in range(j, self.K + 1) for sig in self.plan[e]]
+                first = min(sig.start for sig in todo)
+                for i in [i for i in live if i < first]:
+                    live.pop(i)[0].release()
+                # the narrowest signal over module j names its tape
+                owner = max((sig for sig in todo if sig.start <= j), key=lambda sig: sig.start)
+                with Graph(owner.label, meter=self.meter) as body:
+                    feats = m.forward_body(Tensor(h, requires_grad=first < j), training=True)
                 live[j] = (body, feats)
-                pair = self.pairs.get(j) if self.mode.kind == "lam_only" else None
-                ind_losses[j], grad = self._supervise(
-                    "module", j, feats, by, self.heads.get(j), pair, 1.0)
-                body.backward(feats, grad)
-
-                group = window_ending.get(j)
-                if group is not None:
-                    casc_losses[group.start], grad = self._supervise(
-                        "cascade", group.start, feats, by, group.head, group.pair,
-                        self.cascade_seed)
-                    for i in range(j, group.start - 1, -1):
+                for sig in self.plan[j]:
+                    losses[sig.kind][sig.start], grad = self._supervise(sig, feats, by)
+                    for i in range(j, sig.start - 1, -1):
                         tape, out = live[i]
                         grad = tape.backward(out, grad)
-
-                open_from = min((g.start for g in self.cascades if g.last.index > j),
-                                default=j + 1)
-                for i in [i for i in live if i < open_from]:
-                    live.pop(i)[0].release()
                 h = feats.data
         finally:
             for tape, _ in live.values():
                 tape.release()
 
-        self._snapshot_counters()
+        self.last_accum_counts = {p.name: p.accum_count for p in self.all_params}
         self.optimizer.step(lr_now)
         for j in sorted(self.pairs):
             self.pairs[j].ema_step()
-        return StepReport(ind_losses, casc_losses, ind_losses[self.K], lr_now,
-                          self.meter.step_peak)
+        final = self.plan[self.K][0]
+        return StepReport(losses["module"], losses["cascade"],
+                          losses[final.kind][final.start], lr_now, self.meter.step_peak)
 
-    def _supervise(self, kind: str, index: int, feats: Tensor, by, head, pair,
-                   seed: float):
-        """One supervision head on its own tape, reading a leaf copy of
-        `feats`: the pathway's aux head (behind `pair`'s replicas when
-        given), or the backbone's classifier when `head` is None. Backward
-        its loss scaled by `seed`; return the loss and the gradient at
-        `feats`, which the caller pushes through the body tapes."""
-        with Graph(f"{kind}{index}", meter=self.meter,
-                   section="main" if head is None else "aux") as g:
+    def _supervise(self, sig: Signal, feats: Tensor, by):
+        """Run `sig` on its own tape over a leaf copy of `feats`; backward its loss
+        scaled by its seed; return the loss and the gradient at `feats`."""
+        with Graph(sig.label, meter=self.meter,
+                   section="main" if sig.head is None else "aux") as g:
             try:
                 x = Tensor(feats.data, requires_grad=True)
-                if pair is not None:
-                    x = pair.apply(x)
-                logits = self.modules[-1].finish(x) if head is None else head(x)
+                if sig.pair is not None:
+                    x = sig.pair.apply(x)
+                logits = self.modules[-1].finish(x) if sig.head is None else sig.head(x)
                 loss = ops.softmax_cross_entropy(logits, by)
                 value = float(loss.data)
                 if not np.isfinite(value):
-                    self._abort(f"{kind} {index}", value)
-                return value, g.backward(loss, seed)
+                    self.optimizer.zero_grad()
+                    raise TrainingDiverged(f"non-finite {sig.label} loss ({value}) "
+                                           f"at optimizer step {self.step_index}")
+                return value, g.backward(loss, sig.seed)
             finally:
                 g.release()
-
-    def _snapshot_counters(self) -> None:
-        self.last_accum_counts = {p.name: p.accum_count for p in self.all_params}
 
     def _resync_all(self) -> None:
         for j in sorted(self.pairs):
@@ -296,10 +272,11 @@ class Trainer:
                     self.step_index, self.opt_cfg.lr, self.opt_cfg.min_lr, self.total_steps)
                 try:
                     report = self.step(data.train_x[idx], data.train_y[idx], lr_now)
-                except TrainingDiverged:
+                except TrainingDiverged as exc:
                     diverged_streak += 1
                     if diverged_streak >= 3:
                         raise
+                    self.skipped_steps.append((self.step_index, str(exc)))
                     continue
                 finally:
                     self.step_index += 1

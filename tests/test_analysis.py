@@ -43,6 +43,21 @@ def test_meter_begin_step_resets():
     assert m.peak_by_key == {} and m.section_peak == {}
 
 
+def test_meter_counts_a_buffer_held_by_two_tapes_once():
+    meter = mlaan.ActivationMeter()
+    x = mlaan.Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    with mlaan.Graph("a", meter=meter) as a:
+        y = mlaan.ops.relu(x)                   # a holds x and y
+    with mlaan.Graph("b", meter=meter) as b:
+        mlaan.ops.relu(mlaan.Tensor(y.data, requires_grad=True))  # b holds y and z
+    assert meter.current_total == 18 and meter.step_peak == 18
+    a.release()                                 # y is still held by b
+    assert meter.current_total == 12
+    assert meter.current == {("a", "main"): 6, ("b", "main"): 6}
+    b.release()
+    assert meter.current_total == 0 and meter.holders == {}
+
+
 def test_meter_report_from_real_step(tiny_data):
     tr = make_trainer("mlaan", K=3, k=2, p=1)
     report = mlaan.meter_peak_activations(tr, tiny_data.train_x[:8],
@@ -62,6 +77,14 @@ def test_meter_bp_has_no_aux_section(tiny_data):
                                           tiny_data.train_y[:8])
     assert report.aux_peak == 0
     assert report.main_peak == report.peak_elements
+    # greedy local at K=1 runs bp's network and ops, so it holds the same buffers
+    bx, by = tiny_data.train_x[:6], tiny_data.train_y[:6]
+    bp, greedy = (mlaan.meter_peak_activations(
+        make_trainer(kind, K=K, depth=18, width=8), bx, by)
+        for kind, K in (("bp", 3), ("greedy_local", 1)))
+    assert (greedy.peak_elements, greedy.main_peak, greedy.aux_peak) == \
+        (bp.peak_elements, bp.main_peak, bp.aux_peak)
+    assert list(greedy.per_module.values()) == list(bp.per_module.values())
 
 
 # ---------------------------------------------------------------------------

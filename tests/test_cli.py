@@ -64,6 +64,65 @@ def test_resume_continues_from_checkpoint(tmp_path):
     assert [r["epoch"] for r in rec.rows] == [1, 2]
 
 
+@pytest.mark.parametrize("cut", [10, 100, -10])  # in the header, entry table, payload
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch, cut):
+    cfg_path = write_config(tmp_path, run={"epochs": 2, "seed": 0, "batch_size": 16})
+    ckpt_path = str(tmp_path / "out" / "checkpoint.mlnn")
+    real_open, blobs, previous = open, [], []
+
+    class CutShort:
+        """The second epoch's blob: takes part of the write, then fails."""
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:cut])
+            raise OSError("injected: device full")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if str(path) == ckpt_path + ".tmp":
+            blobs.append(path)
+            if len(blobs) == 2:
+                previous.extend(real_open(p, "rb").read()
+                                for p in (ckpt_path, ckpt_path + ".json"))
+                return CutShort(fh)
+        return fh
+
+    monkeypatch.setattr(mlaan.checkpoint, "open", failing_open, raising=False)
+    assert main(["train", "--config", cfg_path]) == 2
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path / "out")) == ["checkpoint.mlnn", "checkpoint.mlnn.json"]
+    assert [open(p, "rb").read() for p in (ckpt_path, ckpt_path + ".json")] == previous
+    assert mlaan.load_checkpoint(ckpt_path).epoch == 1
+    assert main(["train", "--resume", ckpt_path]) == 0
+    assert mlaan.load_checkpoint(ckpt_path).epoch == 2
+    rec = mlaan.MetricsRecorder.from_csv(str(tmp_path / "out" / "metrics.csv"))
+    assert [r["epoch"] for r in rec.rows] == [1, 2]
+
+
+def test_train_reports_each_skipped_step(tmp_path, monkeypatch, capsys):
+    real, calls = mlaan.Trainer.step, []
+
+    def flaky(self, bx, by, lr_now):
+        calls.append(1)
+        if len(calls) in (1, 3):
+            raise mlaan.TrainingDiverged(f"injected at call {len(calls)}")
+        return real(self, bx, by, lr_now)
+
+    monkeypatch.setattr(mlaan.Trainer, "step", flaky)
+    cfg_path = write_config(tmp_path, run={"epochs": 1, "seed": 0, "batch_size": 8})
+    assert main(["train", "--config", cfg_path]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["skipped step 0: injected at call 1", "skipped step 2: injected at call 3"]
+
+
 def test_resume_without_sidecar_exits_one(trained_run, capsys):
     _, out = trained_run
     ckpt_path = os.path.join(out, "checkpoint.mlnn")

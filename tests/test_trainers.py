@@ -151,9 +151,15 @@ def test_nonfinite_input_aborts_and_clears_grads():
 
 
 def reforward_reference(tr, bx, by):
-    """Accumulate one local step's gradients the long way: each module
-    pathway on one tape, then each cascade window forwarded again through
-    its members on one tape, leaving batch-norm statistics alone."""
+    """Accumulate one step's gradients the long way: for bp, the whole
+    network on one tape; otherwise each module pathway on one tape, then
+    each cascade window forwarded again through its members on one tape,
+    leaving batch-norm statistics alone."""
+    if tr.mode.kind == "bp":
+        with Graph("bp") as g:
+            logits = tr.backbone.forward(Tensor(bx), training=True)
+            g.backward(ops.softmax_cross_entropy(logits, by))
+        return
     boundaries = [Tensor(bx)]
     for m in tr.modules:
         with Graph(f"module{m.index}") as g:
@@ -179,7 +185,7 @@ def reforward_reference(tr, bx, by):
             g.backward(ops.softmax_cross_entropy(logits, by), seed=tr.cascade_seed)
 
 
-@pytest.mark.parametrize("kind", ["mlm_only", "lam_only", "mlaan"])
+@pytest.mark.parametrize("kind", ["mlm_only", "lam_only", "mlaan", "bp", "greedy_local"])
 def test_step_matches_reforward_reference_with_one_forward(kind, monkeypatch):
     trainer, reference = (make_trainer(kind, K=4, depth=10, k=3, p=1) for _ in range(2))
     bx, by = small_batch(trainer)
@@ -225,6 +231,7 @@ def test_fit_tolerates_two_bad_steps(tiny_data):
     assert len(rec.rows) == 1
     assert tr.step_index == 5  # failed steps still consume indices
     assert calls["n"] == 5
+    assert tr.skipped_steps == [(0, "injected"), (1, "injected")]
 
 
 def test_fit_gives_up_after_three_consecutive_failures(tiny_data):
@@ -237,6 +244,7 @@ def test_fit_gives_up_after_three_consecutive_failures(tiny_data):
     with pytest.raises(mlaan.TrainingDiverged):
         tr.fit(tiny_data, epochs=1, batch_size=8)
     assert tr.step_index == 3
+    assert tr.skipped_steps == [(0, "injected"), (1, "injected")]
 
 
 def test_epochs_zero_returns_empty_recorder(tiny_data):
