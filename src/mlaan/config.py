@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
 from .optim import OptimizerConfig
-from .training import TrainerMode
+from .network import check_partition
+from .training import CASCADE_MODES, TrainerMode
 
 DATASET_KINDS = ("idx", "cifar10bin", "synthetic")
 PRECISIONS = ("float32", "float64")
@@ -119,14 +120,8 @@ class ExperimentConfig:
         if len(shape) != 3 or any(not isinstance(v, int) or v < 1 for v in shape):
             raise ConfigError(f"backbone.input_shape must be three positive ints, got {b.input_shape!r}")
         self.backbone.input_shape = shape
-        units = b.depth - 2
-        if self.partition.K < 1 or self.partition.K > units:
-            raise ConfigError(f"partition.K must lie in 1..{units} for depth {b.depth}, "
-                              f"got {self.partition.K}")
         t.build()
-        if t.mode in ("mlm_only", "mlaan"):
-            if not 1 < t.k <= self.partition.K:
-                raise ConfigError(f"trainer.k must lie in 2..K={self.partition.K}, got {t.k}")
+        check_partition(b.depth - 2, self.partition.K, t.k if t.mode in CASCADE_MODES else None)
         self.optimizer.build()
         if d.kind not in DATASET_KINDS:
             raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {d.kind!r}")

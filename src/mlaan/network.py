@@ -107,6 +107,14 @@ class LocalModule:
         return out
 
 
+def check_partition(units: int, K: int, k: Optional[int] = None) -> None:
+    """Check K modules over `units` residual units and, if given, cascade span k."""
+    if not 1 <= K <= units:
+        raise ConfigError(f"partition.K must lie in 1..{units} (the residual units), got {K}")
+    if k is not None and not 1 < k <= K:
+        raise ConfigError(f"trainer.k must lie in 2..K={K}, got {k}")
+
+
 def partition(backbone: Backbone, K: int):
     """Split the backbone's units into K contiguous near-equal modules.
 
@@ -114,10 +122,7 @@ def partition(backbone: Backbone, K: int):
     with the backbone, not copied.
     """
     n = len(backbone.units)
-    if K < 1:
-        raise ConfigError(f"K must be >= 1, got {K}")
-    if K > max(n, 1):
-        raise ConfigError(f"K={K} exceeds the {n} partitionable blocks")
+    check_partition(n, K)
     base, rem = divmod(n, K)
     sizes = [base + 1 if i < rem else base for i in range(K)]
     modules = []
@@ -154,8 +159,7 @@ class CascadeGroup:
 def attach_cascade_groups(modules, k: int, classes: int, seed: int):
     """Stride-1 overlapping windows of k consecutive modules, one head each."""
     K = len(modules)
-    if k <= 1 or k > K:
-        raise ConfigError(f"cascade span k must satisfy 1 < k <= K={K}, got {k}")
+    check_partition(sum(len(m.units) for m in modules), K, k)
     width = _module_width(modules)
     groups = []
     for start in range(1, K - k + 2):

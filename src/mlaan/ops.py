@@ -7,12 +7,18 @@ inputs instead of caching large scratch buffers, so the tape's retained
 set stays equal to the layer inputs/outputs — the quantity the activation
 meter is supposed to measure.
 
-Convolution uses the cross-correlation convention (no kernel flip).
+Convolution uses the cross-correlation convention (no kernel flip) and works
+channels-last: one copy of the input into kh·kw·C patch rows, then one GEMM.
+Its NCHW outputs are views of NHWC results, so the next conv needs no
+transpose. dx correlates the stride-dilated gradient with the flipped,
+channel-swapped kernel. No gradient is computed for an input or a kernel that
+does not require one (the stem's image, the frozen EMA twins).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import Graph, Tensor
@@ -111,34 +117,18 @@ def _conv_geometry(xshape, wshape, stride, pad):
     return ho + 1, wo + 1
 
 
-def _im2col(xd, kh, kw, stride, pad, ho, wo):
-    n, c, h, w = xd.shape
-    if pad:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = xd
-    else:
-        xp = xd
-    # fill straight into the (rows, features) layout the GEMM wants, so the
-    # reshape below is free
-    cols = np.empty((n, ho, wo, c, kh, kw), dtype=xd.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, :, i, j] = xp[:, :, i:i + stride * ho:stride,
-                                        j:j + stride * wo:stride].transpose(0, 2, 3, 1)
-    return cols.reshape(n * ho * wo, c * kh * kw)
-
-
-def _col2im(dmat, xshape, kh, kw, stride, pad, ho, wo):
-    n, c, h, w = xshape
-    dcols = dmat.reshape(n, ho, wo, c, kh, kw)
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dmat.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + stride * ho:stride,
-                j:j + stride * wo:stride] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    if pad:
-        return dxp[:, :, pad:pad + h, pad:pad + w]
-    return dxp
+def _patches(x, kh, kw, stride, pad, dilate=1):
+    """Rows of kh×kw windows over the N×H×W×C array `x`, channels fastest:
+    (N·Ho·Wo, kh·kw·C). `x` is first dilated (dilate-1 zeros between pixels),
+    then zero-padded by `pad` on each side, or cropped when `pad` is negative."""
+    n, h, w, c = x.shape
+    lo, crop = max(pad, 0), max(-pad, 0)
+    xp = np.zeros((n, dilate * (h - 1) + 1 + 2 * lo, dilate * (w - 1) + 1 + 2 * lo, c), x.dtype)
+    xp[:, lo:xp.shape[1] - lo:dilate, lo:xp.shape[2] - lo:dilate] = x
+    win = sliding_window_view(xp[:, crop:xp.shape[1] - crop, crop:xp.shape[2] - crop],
+                              (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    # the (n, ho, wo, c, kh, kw) view, copied once in (n, ho, wo, kh, kw, c) order
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * c)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
@@ -148,15 +138,22 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     n, c, h, width = xd.shape
     f, _, kh, kw = wd.shape
     ho, wo = _conv_geometry(xd.shape, wd.shape, stride, pad)
-    wmat = wd.reshape(f, -1)
-    mat = _im2col(xd, kh, kw, stride, pad, ho, wo)
-    out = (mat @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    xt = xd.transpose(0, 2, 3, 1)
+    out = _patches(xt, kh, kw, stride, pad) @ wd.transpose(0, 2, 3, 1).reshape(f, -1).T
+    out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
 
     def backward(g):
-        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        cols = _im2col(xd, kh, kw, stride, pad, ho, wo)
-        dw = (gt.T @ cols).reshape(wd.shape)
-        dx = _col2im(gt @ wmat, xd.shape, kh, kw, stride, pad, ho, wo)
+        gt = g.transpose(0, 2, 3, 1)
+        dx = dw = None
+        if x.requires_grad:
+            # the forward's transpose: correlate g, dilated by the stride, with
+            # the flipped kernel, its in and out channels swapped
+            wflip = wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
+            dx = (_patches(gt, kh, kw, 1, kh - 1 - pad, stride) @ wflip.T
+                  ).reshape(n, h, width, c).transpose(0, 3, 1, 2)
+        if w.requires_grad:
+            dw = (gt.reshape(n * ho * wo, f).T @ _patches(xt, kh, kw, stride, pad)
+                  ).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         return dx, dw
 
     return _result("conv2d", (x, w), out, backward)

@@ -39,6 +39,7 @@ from .rng import named_stream
 from .tensor import Graph, Tensor
 
 MODES = ("bp", "greedy_local", "mlm_only", "lam_only", "mlaan")
+CASCADE_MODES = ("mlm_only", "mlaan")
 MLAAN_RULES = ("ema_teacher",)
 
 
@@ -138,7 +139,7 @@ class Trainer:
         local = mode.kind != "bp"
         self.heads = attach_independent_heads(self.modules, classes, seed) if local and K > 1 else {}
         self.cascades = (attach_cascade_groups(self.modules, mode.k, classes, seed)
-                         if mode.kind in ("mlm_only", "mlaan") and self.cascade_seed else [])
+                         if mode.kind in CASCADE_MODES and self.cascade_seed else [])
         self.plan = {m.index: [Signal("module", m.index, self.heads.get(m.index))] if local else []
                      for m in self.modules}  # module j -> the signals that read its output
         if not local:

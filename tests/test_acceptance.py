@@ -354,6 +354,7 @@ def desk_experiment():
     return out
 
 
+@pytest.mark.desk
 def test_criterion_06_desk_scale_orderings(desk_experiment):
     mean = {kind: float(np.mean([run["error"] for run in desk_experiment[kind]]))
             for kind in DESK_MODES}
@@ -376,6 +377,7 @@ def test_criterion_06_desk_scale_orderings(desk_experiment):
 # 8. CKA instrument: exactness, invariances, and the representation ordering
 # ---------------------------------------------------------------------------
 
+@pytest.mark.desk
 def test_criterion_08_cka_instrument(desk_experiment):
     gen = np.random.default_rng(17)
     X = gen.standard_normal((40, 12))

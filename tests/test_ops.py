@@ -1,4 +1,5 @@
-"""Forward-value oracles for the tensor ops, independent of the tape."""
+"""Forward-value oracles for the tensor ops, independent of the tape, and a
+direct-loop gradient oracle for conv2d."""
 
 import numpy as np
 import pytest
@@ -164,6 +165,75 @@ class TestConv:
         with pytest.raises(ConfigError):
             ops.conv2d(t(np.ones((1, 1, 6, 6))), t(np.ones((1, 1, 3, 3))),
                        stride=2, pad=0)
+
+
+def reference_conv(x, w, g, stride, pad):
+    """Forward, dx and dW of a strided, padded cross-correlation by direct loops."""
+    n, c, h, width = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = g.shape[2:]
+    out, dxp, dw = np.zeros(g.shape), np.zeros(xp.shape), np.zeros(w.shape)
+    for b in range(n):
+        for o in range(f):
+            for i in range(ho):
+                for j in range(wo):
+                    rows, cols = slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw)
+                    out[b, o, i, j] = np.sum(xp[b, :, rows, cols] * w[o])
+                    dxp[b, :, rows, cols] += g[b, o, i, j] * w[o]
+                    dw[o] += g[b, o, i, j] * xp[b, :, rows, cols]
+    return out, dxp[:, :, pad:pad + h, pad:pad + width], dw
+
+
+# (kernel, stride, pad, height, width); pad > kernel-1 crops the padded gradient
+CONV_CASES = [
+    (1, 1, 0, 5, 4), (1, 2, 0, 5, 7), (1, 1, 1, 4, 3), (1, 2, 2, 3, 5),
+    (3, 1, 0, 6, 5), (3, 1, 1, 5, 7), (3, 2, 1, 7, 5), (3, 2, 0, 7, 9),
+    (3, 1, 2, 4, 6), (3, 2, 3, 5, 7), (3, 1, 3, 4, 3),
+    (5, 1, 2, 6, 5), (5, 2, 2, 7, 9), (5, 1, 3, 4, 5), (5, 2, 1, 7, 5),
+]
+
+
+class TestConvGradients:
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    @pytest.mark.parametrize("k,stride,pad,h,w", CONV_CASES)
+    def test_matches_direct_loops(self, k, stride, pad, h, w, layout):
+        gen = np.random.default_rng(k * 100 + stride * 10 + pad)
+        x = gen.standard_normal((2, 3, h, w))
+        if layout == "nhwc":  # same values, channels fastest in memory
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        wt = Parameter("w", gen.standard_normal((4, 3, k, k)), dtype=np.float64)
+        xt = Tensor(x, requires_grad=True)
+        with Graph("g") as graph:
+            out = ops.conv2d(xt, wt, stride=stride, pad=pad)
+            g = gen.standard_normal(out.shape)
+            dx = graph.backward(out, g)
+        ref_out, ref_dx, ref_dw = reference_conv(x, wt.data, g, stride, pad)
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(wt.grad, ref_dw, rtol=1e-10, atol=1e-12)
+
+    def test_input_without_grad_gets_no_dx(self):
+        gen = np.random.default_rng(5)
+        w = Parameter("w", gen.standard_normal((2, 3, 3, 3)), dtype=np.float64)
+        with Graph("g"):
+            out = ops.conv2d(t(gen.standard_normal((2, 3, 4, 4))), w)
+        dx, dw = out.node.backward_fn(np.ones(out.shape))
+        assert dx is None and dw.shape == w.shape
+
+    def test_frozen_weight_gets_no_dw(self):
+        gen = np.random.default_rng(6)
+        x = gen.standard_normal((2, 3, 4, 4))
+        w = Parameter("w", gen.standard_normal((2, 3, 3, 3)), dtype=np.float64,
+                      requires_grad=False)
+        xt = Tensor(x, requires_grad=True)
+        with Graph("g") as graph:
+            out = ops.conv2d(xt, w)
+            g = gen.standard_normal(out.shape)
+            assert out.node.backward_fn(g)[1] is None
+            dx = graph.backward(out, g)
+        np.testing.assert_allclose(dx, reference_conv(x, w.data, g, 1, 1)[1], rtol=1e-10)
+        assert not w.grad.any() and w.accum_count == 0
 
 
 class TestElementwise:

@@ -309,6 +309,24 @@ def test_ema_twins_never_require_grad():
             assert all(p.requires_grad for p in unit.parameters())
 
 
+def test_ema_twins_get_no_gradient_from_a_step(monkeypatch):
+    tr = make_trainer("mlaan", K=4, depth=10, k=2, p=2)
+    seen = {}
+    step = tr.optimizer.step
+
+    def inspect_then_step(lr_now):  # the optimizer zeroes every grad after its update
+        seen.update({p.name: p.grad.any() for p in tr.all_params})
+        step(lr_now)
+
+    monkeypatch.setattr(tr.optimizer, "step", inspect_then_step)
+    tr.step(*small_batch(tr), 0.05)
+    for pair in tr.pairs.values():
+        for p in [p for unit in pair.phi_double for p in unit.parameters()]:
+            assert not seen[p.name] and tr.last_accum_counts[p.name] == 0
+        for p in [p for unit in pair.phi_prime for p in unit.parameters()]:
+            assert seen[p.name] and tr.last_accum_counts[p.name] > 0
+
+
 def test_resync_copies_live_weights_into_primes():
     tr = make_trainer("mlaan", K=3, k=2, p=1)
     bx, by = small_batch(tr)
