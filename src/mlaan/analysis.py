@@ -14,7 +14,7 @@ from .errors import ConfigError, DataError
 from .layers import Linear
 from .optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
 from .rng import named_stream
-from .tensor import Graph, Tensor, get_default_dtype
+from .tensor import Graph, Tensor
 
 CSV_HEADER = ("epoch", "train_loss", "test_error", "lr", "peak_elements", "wall_time_s")
 
@@ -94,7 +94,7 @@ def meter_peak_activations(trainer, bx: np.ndarray, by: np.ndarray,
         main_peak=meter.section_peak.get("main", 0),
         aux_peak=meter.section_peak.get("aux", 0),
         per_module=per_module,
-        bytes_estimate=meter.step_peak * get_default_dtype().itemsize)
+        bytes_estimate=meter.step_peak * trainer.all_params[0].data.itemsize)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +129,11 @@ def linear_probes(modules, layers, data, probe_epochs: int = 30,
     for layer in layers:
         train_f, test_f = train_all[layer - 1], test_all[layer - 1]
         probe = Linear(f"probe{layer}", train_f.shape[1], classes,
-                       named_stream(seed, f"probe/init/{layer}"))
+                       named_stream(seed, f"probe/init/{layer}"), train_f.dtype)
         n = len(train_f)
         steps_per_epoch = max(1, n // batch_size)
         total = probe_epochs * steps_per_epoch
-        opt = SGDNesterov(probe.parameters(), OptimizerConfig(lr=probe_lr, total_steps=total))
+        opt = SGDNesterov(probe.parameters(), OptimizerConfig(lr=probe_lr))
         gen = named_stream(seed, f"probe/shuffle/{layer}")
         step = 0
         for _ in range(probe_epochs):

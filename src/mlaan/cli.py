@@ -11,17 +11,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import checkpoint as ckpt_mod
 from . import data as data_mod
 from .analysis import MetricsRecorder, layerwise_cka, linear_probes, meter_peak_activations
-from .config import ExperimentConfig, config_from_dict, load_config
+from .config import DATASET_KINDS, ExperimentConfig, config_from_dict, load_config
 from .errors import CheckpointError, ConfigError, DataError, MlaanError
-from .network import build_backbone
-from .tensor import set_default_dtype
+from .network import Backbone
+from .tensor import get_default_dtype, set_default_dtype
 from .training import MODES, Trainer, evaluate as evaluate_network
 
 
@@ -40,20 +40,27 @@ class _Parser(argparse.ArgumentParser):
 # construction from config
 # ---------------------------------------------------------------------------
 
+def _load_dataset(kind: str, paths, cfg: ExperimentConfig) -> data_mod.Dataset:
+    """Dataset `kind` read from `paths`; synthetic data is drawn to fit the backbone."""
+    if kind == "synthetic":
+        shape = cfg.backbone.input_shape
+        return data_mod.synth_dataset(
+            n_per_class=cfg.dataset.subset_size or 40, seed=cfg.run.seed,
+            noise_scale=cfg.dataset.noise_scale, image_size=shape[1],
+            channels=shape[0], classes=cfg.backbone.classes)
+    if kind == "idx":
+        return data_mod.load_idx(*paths)
+    return data_mod.load_cifar10_bin(paths)
+
+
 def build_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
     d = cfg.dataset
     shape = cfg.backbone.input_shape
     if d.kind == "synthetic":
         if shape[1] != shape[2]:
             raise ConfigError(f"synthetic data needs a square input_shape, got {shape}")
-        n_per_class = d.subset_size if d.subset_size > 0 else 40
-        return data_mod.synth_dataset(
-            n_per_class=n_per_class, seed=cfg.run.seed, noise_scale=d.noise_scale,
-            image_size=shape[1], channels=shape[0], classes=cfg.backbone.classes)
-    if d.kind == "idx":
-        ds = data_mod.load_idx(*d.paths)
-    else:
-        ds = data_mod.load_cifar10_bin(d.paths)
+        return _load_dataset(d.kind, d.paths, cfg)
+    ds = _load_dataset(d.kind, d.paths, cfg)
     if ds.input_shape != shape:
         raise ConfigError(f"dataset images are {ds.input_shape} but "
                           f"backbone.input_shape is {shape}")
@@ -64,12 +71,20 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
 
 
 def build_trainer(cfg: ExperimentConfig) -> Trainer:
-    set_default_dtype(np.float64 if cfg.run.precision == "float64" else np.float32)
-    b = cfg.backbone
-    backbone = build_backbone(b.depth, b.width, b.classes, b.input_shape,
-                              seed=cfg.run.seed)
-    return Trainer(backbone, cfg.partition.K, cfg.trainer.build(), cfg.optimizer.build(),
-                   cfg.run.seed)
+    """The trainer a config describes, its parameters in `run.precision`;
+    the process default dtype is left as it was."""
+    previous = get_default_dtype()
+    set_default_dtype(cfg.run.precision)
+    try:
+        return Trainer(Backbone(cfg.backbone, cfg.run.seed), cfg.partition.K,
+                       cfg.trainer.build(), cfg.optimizer, cfg.run.seed)
+    finally:
+        set_default_dtype(previous)
+
+
+def _with_mode(cfg: ExperimentConfig, mode: str) -> ExperimentConfig:
+    """`cfg` with trainer.mode set to `mode`, checked again."""
+    return replace(cfg, trainer=replace(cfg.trainer, mode=mode)).validate()
 
 
 def _out_dir(args, cfg: ExperimentConfig) -> str:
@@ -103,21 +118,13 @@ def parse_dataset_flag(spec: str, cfg: ExperimentConfig) -> data_mod.Dataset:
     """`synthetic`, `idx:ti,tl,vi,vl`, or `cifar10bin:b1,...,test`."""
     kind, _, rest = spec.partition(":")
     paths = tuple(p for p in rest.split(",") if p)
-    if kind == "synthetic":
-        shape = cfg.backbone.input_shape
-        return data_mod.synth_dataset(
-            n_per_class=cfg.dataset.subset_size or 40, seed=cfg.run.seed,
-            noise_scale=cfg.dataset.noise_scale, image_size=shape[1],
-            channels=shape[0], classes=cfg.backbone.classes)
-    if kind == "idx":
-        if len(paths) != 4:
-            raise ConfigError("--dataset idx needs 4 comma-separated paths")
-        return data_mod.load_idx(*paths)
-    if kind == "cifar10bin":
-        if len(paths) < 2:
-            raise ConfigError("--dataset cifar10bin needs at least 2 paths")
-        return data_mod.load_cifar10_bin(paths)
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    if kind not in DATASET_KINDS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    if kind == "idx" and len(paths) != 4:
+        raise ConfigError("--dataset idx needs 4 comma-separated paths")
+    if kind == "cifar10bin" and len(paths) < 2:
+        raise ConfigError("--dataset cifar10bin needs at least 2 paths")
+    return _load_dataset(kind, paths, cfg)
 
 
 def resize_images(x: np.ndarray, target_hw, policy: str) -> np.ndarray:
@@ -237,9 +244,7 @@ def cmd_memstat(args) -> int:
     by = data.train_y[:cfg.run.batch_size]
 
     report = asdict(meter_peak_activations(build_trainer(cfg), bx, by))
-    bp_cfg = config_from_dict({**cfg.to_dict(),
-                               "trainer": {**cfg.to_dict()["trainer"], "mode": "bp"}})
-    bp_report = asdict(meter_peak_activations(build_trainer(bp_cfg), bx, by))
+    bp_report = asdict(meter_peak_activations(build_trainer(_with_mode(cfg, "bp")), bx, by))
     peak = report["peak_elements"]
     payload = {
         "configured": report,
@@ -266,9 +271,7 @@ def cmd_ablate(args) -> int:
     data = build_dataset(cfg)
     rows = []
     for m in modes:
-        mode_cfg = config_from_dict({**cfg.to_dict(),
-                                     "trainer": {**cfg.to_dict()["trainer"], "mode": m}})
-        trainer = build_trainer(mode_cfg)
+        trainer = build_trainer(_with_mode(cfg, m))
         rec = trainer.fit(data, cfg.run.epochs, cfg.run.batch_size)
         rec.to_csv(os.path.join(out, f"metrics_{m}.csv"))
         last = rec.rows[-1] if rec.rows else {"test_error": float("nan"),

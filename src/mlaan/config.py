@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 from .optim import OptimizerConfig
-from .network import check_partition
+from .network import BackboneConfig, check_partition
 from .training import CASCADE_MODES, TrainerMode
 
 DATASET_KINDS = ("idx", "cifar10bin", "synthetic")
@@ -25,14 +25,6 @@ def _check_keys(section: str, data: dict, allowed) -> None:
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key '{section}.{key}'")
-
-
-@dataclass
-class BackboneSection:
-    depth: int = 18
-    width: int = 8
-    classes: int = 10
-    input_shape: tuple = (1, 12, 12)
 
 
 @dataclass
@@ -53,20 +45,6 @@ class TrainerSection:
         """The trainer mode this section describes; TrainerMode checks the values."""
         return TrainerMode(kind=self.mode, k=self.k, p=self.p, r=self.r,
                            mlaan_rule=self.mlaan_rule, sync_period=self.sync_period)
-
-
-@dataclass
-class OptimizerSection:
-    lr: float = 0.2
-    min_lr: float = 0.0
-    lr_cascaded: float = None
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-
-    def build(self) -> OptimizerConfig:
-        """The optimizer settings this section describes; OptimizerConfig checks the values."""
-        return OptimizerConfig(lr=self.lr, min_lr=self.min_lr, lr_cascaded=self.lr_cascaded,
-                               momentum=self.momentum, weight_decay=self.weight_decay)
 
 
 @dataclass
@@ -92,16 +70,16 @@ class OutputSection:
 
 @dataclass
 class ExperimentConfig:
-    backbone: BackboneSection = field(default_factory=BackboneSection)
+    backbone: BackboneConfig = field(default_factory=BackboneConfig)
     partition: PartitionSection = field(default_factory=PartitionSection)
     trainer: TrainerSection = field(default_factory=TrainerSection)
-    optimizer: OptimizerSection = field(default_factory=OptimizerSection)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     run: RunSection = field(default_factory=RunSection)
     dataset: DatasetSection = field(default_factory=DatasetSection)
     output: OutputSection = field(default_factory=OutputSection)
 
     def validate(self) -> "ExperimentConfig":
-        b, t, r, d = self.backbone, self.trainer, self.run, self.dataset
+        t, r, d = self.trainer, self.run, self.dataset
         if r.seed is None:
             raise ConfigError("run.seed is required")
         if not isinstance(r.seed, int) or r.seed < 0:
@@ -112,17 +90,9 @@ class ExperimentConfig:
             raise ConfigError(f"run.epochs must be >= 0, got {r.epochs}")
         if r.batch_size < 2:
             raise ConfigError(f"run.batch_size must be >= 2, got {r.batch_size}")
-        if b.depth < 3:
-            raise ConfigError(f"backbone.depth must be >= 3, got {b.depth}")
-        if b.width < 1 or b.classes < 2:
-            raise ConfigError("backbone.width must be >= 1 and backbone.classes >= 2")
-        shape = tuple(b.input_shape)
-        if len(shape) != 3 or any(not isinstance(v, int) or v < 1 for v in shape):
-            raise ConfigError(f"backbone.input_shape must be three positive ints, got {b.input_shape!r}")
-        self.backbone.input_shape = shape
         t.build()
-        check_partition(b.depth - 2, self.partition.K, t.k if t.mode in CASCADE_MODES else None)
-        self.optimizer.build()
+        check_partition(self.backbone.depth - 2, self.partition.K,
+                        t.k if t.mode in CASCADE_MODES else None)
         if d.kind not in DATASET_KINDS:
             raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {d.kind!r}")
         if d.kind == "idx" and len(d.paths) != 4:
@@ -149,15 +119,9 @@ class ExperimentConfig:
         return d
 
 
-_SECTIONS = {
-    "backbone": (BackboneSection, ("depth", "width", "classes", "input_shape")),
-    "partition": (PartitionSection, ("K",)),
-    "trainer": (TrainerSection, ("mode", "k", "p", "r", "mlaan_rule", "sync_period")),
-    "optimizer": (OptimizerSection, ("lr", "min_lr", "lr_cascaded", "momentum", "weight_decay")),
-    "run": (RunSection, ("epochs", "batch_size", "seed", "precision")),
-    "dataset": (DatasetSection, ("kind", "paths", "subset_size", "noise_scale")),
-    "output": (OutputSection, ("dir",)),
-}
+_SECTIONS = {"backbone": BackboneConfig, "partition": PartitionSection,
+             "trainer": TrainerSection, "optimizer": OptimizerConfig, "run": RunSection,
+             "dataset": DatasetSection, "output": OutputSection}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -165,12 +129,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("top-level config must be an object")
     _check_keys("<top>", data, _SECTIONS)
     sections = {}
-    for name, (cls, allowed) in _SECTIONS.items():
+    for name, cls in _SECTIONS.items():
         raw = data.get(name, {})
-        _check_keys(name, raw, allowed)
+        _check_keys(name, raw, {f.name for f in fields(cls)})
         fixed = dict(raw)
-        if name == "backbone" and "input_shape" in fixed:
-            fixed["input_shape"] = tuple(fixed["input_shape"])
         if name == "dataset" and "paths" in fixed:
             fixed["paths"] = tuple(fixed["paths"])
         sections[name] = cls(**fixed)

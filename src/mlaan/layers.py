@@ -88,10 +88,11 @@ class BatchNorm2d:
 
 
 class Linear:
-    def __init__(self, name: str, d_in: int, d_out: int, gen: np.random.Generator):
+    def __init__(self, name: str, d_in: int, d_out: int, gen: np.random.Generator,
+                 dtype=None):
         self.name = name
-        self.w = Parameter(f"{name}.w", kaiming_normal(gen, (d_in, d_out), d_in))
-        self.b = Parameter(f"{name}.b", np.zeros(d_out))
+        self.w = Parameter(f"{name}.w", kaiming_normal(gen, (d_in, d_out), d_in), dtype)
+        self.b = Parameter(f"{name}.b", np.zeros(d_out), dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.bias_add(ops.matmul(x, self.w), self.b)

@@ -29,19 +29,30 @@ from .tensor import Tensor
 
 @dataclass
 class BackboneConfig:
+    """Backbone shape; also the config's `backbone` section."""
+
     depth: int = 18
     width: int = 8
     classes: int = 10
     input_shape: tuple = (1, 12, 12)
 
+    def __post_init__(self):
+        if self.depth < 3:
+            raise ConfigError(f"backbone.depth must be >= 3 (stem + at least "
+                              f"one unit + classifier), got {self.depth}")
+        if self.width < 1:
+            raise ConfigError(f"backbone.width must be >= 1, got {self.width}")
+        if self.classes < 2:
+            raise ConfigError(f"backbone.classes must be >= 2, got {self.classes}")
+        shape = tuple(self.input_shape)
+        if len(shape) != 3 or any(not isinstance(v, int) or v < 1 for v in shape):
+            raise ConfigError(f"backbone.input_shape must be three positive ints (C, H, W), "
+                              f"got {self.input_shape!r}")
+        self.input_shape = shape
+
 
 class Backbone:
     def __init__(self, cfg: BackboneConfig, seed: int):
-        if cfg.depth < 3:
-            raise ConfigError(f"backbone depth must be >= 3 (stem + at least "
-                              f"one unit + classifier), got {cfg.depth}")
-        if len(cfg.input_shape) != 3 or any(d < 1 for d in cfg.input_shape):
-            raise ConfigError(f"input_shape must be (C,H,W) positive, got {cfg.input_shape}")
         self.cfg = cfg
         gen = named_stream(seed, "init/backbone")
         c_in = cfg.input_shape[0]
@@ -69,7 +80,7 @@ class Backbone:
 
 
 def build_backbone(depth: int, width: int, num_classes: int, input_shape, seed: int = 0) -> Backbone:
-    return Backbone(BackboneConfig(depth, width, num_classes, tuple(input_shape)), seed)
+    return Backbone(BackboneConfig(depth, width, num_classes, input_shape), seed)
 
 
 class LocalModule:

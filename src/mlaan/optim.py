@@ -14,7 +14,7 @@ from .tensor import Graph, Parameter, Tensor
 
 @dataclass
 class OptimizerConfig:
-    """Learning-rate and momentum settings.
+    """Learning-rate and momentum settings; also the config's `optimizer` section.
 
     `lr` is the independent rate (eta_d) at schedule start; `lr_cascaded`
     is the cascaded rate (eta_c), defaulting to `lr`. Both ride the same
@@ -26,7 +26,6 @@ class OptimizerConfig:
     lr_cascaded: Optional[float] = None
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    total_steps: int = 1
 
     def __post_init__(self):
         for key in ("lr", "min_lr", "lr_cascaded", "weight_decay"):

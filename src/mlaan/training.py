@@ -171,7 +171,6 @@ class Trainer:
         self.meter = ActivationMeter()
         self.shuffle_gen = named_stream(seed, "data/shuffle")
         self.step_index = 0
-        self.total_steps = opt_cfg.total_steps
         self.last_accum_counts = {}
         self.skipped_steps = []  # (step index, message) of each diverged step fit skipped
 
@@ -252,7 +251,7 @@ class Trainer:
         if n < 2:
             raise DataError("need at least 2 training samples")
         steps_per_epoch = max(1, n // batch_size)
-        self.total_steps = epochs * steps_per_epoch
+        total_steps = epochs * steps_per_epoch
         t0 = time.perf_counter()
         diverged_streak = 0
         for epoch in range(start_epoch, epochs):
@@ -270,7 +269,7 @@ class Trainer:
                 if len(idx) < 2:
                     idx = perm[:max(2, len(perm))]
                 lr_now = cosine_annealing_lr(
-                    self.step_index, self.opt_cfg.lr, self.opt_cfg.min_lr, self.total_steps)
+                    self.step_index, self.opt_cfg.lr, self.opt_cfg.min_lr, total_steps)
                 try:
                     report = self.step(data.train_x[idx], data.train_y[idx], lr_now)
                 except TrainingDiverged as exc:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import mlaan
-from mlaan.cli import build_dataset, main, resize_images
+from mlaan.cli import _load_trained, build_dataset, build_trainer, main, resize_images
+from test_data import write_idx_images, write_idx_labels
 
 
 def write_config(tmp_path, **overrides):
@@ -166,6 +167,41 @@ def test_eval_on_synthetic(trained_run, capsys):
     assert 0.0 <= payload["test_error"] <= 1.0
     assert set(payload["per_class_accuracy"]) == {str(c) for c in range(10)}
     assert all(0.0 <= v <= 1.0 for v in payload["per_class_accuracy"].values())
+
+
+def test_eval_on_idx_files(trained_run, tmp_path):
+    _, out = trained_run
+    gen = np.random.default_rng(1)
+    paths = [str(tmp_path / f"{name}.idx") for name in ("timg", "tlab", "vimg", "vlab")]
+    write_idx_images(paths[0], gen.integers(0, 256, size=(10, 24, 24), dtype=np.uint8))
+    write_idx_labels(paths[1], np.arange(10))
+    write_idx_images(paths[2], gen.integers(0, 256, size=(20, 24, 24), dtype=np.uint8))
+    write_idx_labels(paths[3], np.arange(20) % 10)
+    spec = "idx:" + ",".join(paths)
+    ckpt = os.path.join(out, "checkpoint.mlnn")
+    assert main(["eval", "--checkpoint", ckpt, "--dataset", spec,
+                 "--resize", "mean-pool"]) == 0
+    payload = json.load(open(os.path.join(out, "eval.json")))
+    assert payload["dataset"] == spec
+    _, trainer, _ = _load_trained(ckpt)
+    data = mlaan.load_idx(*paths)
+    expected = mlaan.evaluate(trainer.backbone, resize_images(data.test_x, (12, 12), "mean-pool"),
+                              data.test_y)
+    assert payload["test_error"] == expected["test_error"]
+    assert main(["eval", "--checkpoint", ckpt, "--dataset", "idx:" + paths[0]]) == 1
+
+
+def test_build_trainer_leaves_the_default_dtype(tmp_path):
+    cfg64 = mlaan.load_config(write_config(tmp_path, run={"seed": 0, "precision": "float64"}))
+    cfg32 = mlaan.load_config(write_config(tmp_path))
+    wide = build_trainer(cfg64)
+    assert mlaan.get_default_dtype() == np.float32
+    assert {p.data.dtype for p in wide.all_params} == {np.dtype(np.float64)}
+    assert mlaan.build_backbone(6, 4, 10, (1, 12, 12)).parameters()[0].data.dtype == np.float32
+    build_trainer(cfg32)
+    data = build_dataset(cfg64)
+    report = mlaan.meter_peak_activations(wide, data.train_x[:16], data.train_y[:16])
+    assert report.bytes_estimate == 8 * report.peak_elements
 
 
 def test_probe_all_layers(trained_run):

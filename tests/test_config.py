@@ -1,11 +1,15 @@
 """Config parsing: strict keys, required seed, range checks, round trips."""
 
 import json
+import os
 
 import pytest
 
 import mlaan
+from mlaan.cli import build_trainer
 from mlaan.config import DATASET_KINDS
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def minimal(**overrides):
@@ -40,6 +44,10 @@ def test_unknown_keys_are_named_precisely():
         mlaan.config_from_dict(minimal(trainer={"cascade_k": 3}))
     with pytest.raises(mlaan.ConfigError, match="<top>.experiment"):
         mlaan.config_from_dict(minimal(experiment={}))
+    with pytest.raises(mlaan.ConfigError, match="backbone.channels"):
+        mlaan.config_from_dict(minimal(backbone={"channels": 3}))
+    with pytest.raises(mlaan.ConfigError, match="optimizer.total_steps"):
+        mlaan.config_from_dict(minimal(optimizer={"total_steps": 100}))
 
 
 @pytest.mark.parametrize("patch,fragment", [
@@ -82,6 +90,20 @@ def test_to_dict_round_trips():
     again = mlaan.config_from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
     assert again.backbone.input_shape == (3, 16, 16)
+
+
+@pytest.mark.parametrize("name", ["desk.json", "cifar10-full.json"])
+def test_shipped_configs_load_round_trip_and_build(name):
+    path = os.path.join(CONFIGS, name)
+    cfg = mlaan.load_config(path)
+    d = cfg.to_dict()
+    with open(path) as fh:
+        for section, values in json.load(fh).items():
+            assert {k: d[section][k] for k in values} == values
+    assert mlaan.config_from_dict(d).to_dict() == d
+    trainer = build_trainer(cfg)
+    assert len(trainer.modules) == cfg.partition.K
+    assert len(trainer.backbone.units) == cfg.backbone.depth - 2
 
 
 def test_load_config_reads_json(tmp_path):

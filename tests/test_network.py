@@ -6,8 +6,7 @@ import pytest
 import mlaan.ops as ops
 from mlaan.errors import ConfigError, StateError
 from mlaan.layers import BatchNorm2d, Conv2d, Linear
-from mlaan.network import (Backbone, BackboneConfig, attach_cascade_groups,
-                           attach_independent_heads, build_backbone,
+from mlaan.network import (attach_cascade_groups, attach_independent_heads, build_backbone,
                            build_leap_replicas, partition, resync_replicas,
                            warmup_batch_stats)
 from mlaan.rng import named_stream
@@ -218,10 +217,16 @@ class TestBackboneShape:
         out = net.forward(x, training=True)
         assert out.shape == (3, 10)
 
-    def test_depth_too_small(self):
-        with pytest.raises(ConfigError):
-            Backbone(BackboneConfig(depth=2, width=4, classes=10,
-                                    input_shape=(1, 8, 8)), seed=0)
+    @pytest.mark.parametrize("arg,value,key", [
+        ("depth", 2, "depth"),
+        ("width", 0, "width"),
+        ("num_classes", 1, "classes"),
+        ("input_shape", (8, 8), "input_shape"),
+    ], ids=["depth", "width", "classes", "input_shape"])
+    def test_bad_shape_names_its_key(self, arg, value, key):
+        shape = {"depth": 10, "width": 4, "num_classes": 10, "input_shape": (1, 8, 8), arg: value}
+        with pytest.raises(ConfigError, match=f"backbone.{key} must"):
+            build_backbone(**shape, seed=0)
 
     def test_same_seed_same_init(self):
         a, b = backbone(10, seed=3), backbone(10, seed=3)
