@@ -7,8 +7,11 @@ checking, and defaults chosen for the desk-scale setup.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 from .errors import ConfigError
 from .optim import OptimizerConfig
@@ -25,6 +28,40 @@ def _check_keys(section: str, data: dict, allowed) -> None:
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key '{section}.{key}'")
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _fits(value, kind) -> bool:
+    """JSON integers fit int fields (booleans do not); any finite JSON number
+    fits a float field (Python's parser also reads NaN and Infinity)."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _typed(section: str, raw: dict) -> dict:
+    """`raw`'s values checked against the types of the section's fields, JSON
+    lists turned into tuples. None fits an Optional field only."""
+    out = {}
+    for key, value in raw.items():
+        kind = _FIELD_TYPES[section][key]
+        optional = typing.get_origin(kind) is typing.Union
+        if optional:
+            kind = typing.get_args(kind)[0]
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            ok = isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+            what = f"a list of {_KINDS[item].split()[-1]}s"
+        else:
+            ok, what = _fits(value, kind), _KINDS[kind]
+        if not (ok or optional and value is None):
+            raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
+        out[key] = tuple(value) if isinstance(value, list) else value
+    return out
 
 
 @dataclass
@@ -51,21 +88,21 @@ class TrainerSection:
 class RunSection:
     epochs: int = 40
     batch_size: int = 64
-    seed: int = None
+    seed: Optional[int] = None
     precision: str = "float32"
 
 
 @dataclass
 class DatasetSection:
     kind: str = "synthetic"
-    paths: tuple = ()
+    paths: tuple[str, ...] = ()
     subset_size: int = 0
     noise_scale: float = 0.35
 
 
 @dataclass
 class OutputSection:
-    dir: str = None
+    dir: Optional[str] = None
 
 
 @dataclass
@@ -122,6 +159,8 @@ class ExperimentConfig:
 _SECTIONS = {"backbone": BackboneConfig, "partition": PartitionSection,
              "trainer": TrainerSection, "optimizer": OptimizerConfig, "run": RunSection,
              "dataset": DatasetSection, "output": OutputSection}
+# each section's field types, resolved from the annotations once, at import
+_FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -131,11 +170,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     sections = {}
     for name, cls in _SECTIONS.items():
         raw = data.get(name, {})
-        _check_keys(name, raw, {f.name for f in fields(cls)})
-        fixed = dict(raw)
-        if name == "dataset" and "paths" in fixed:
-            fixed["paths"] = tuple(fixed["paths"])
-        sections[name] = cls(**fixed)
+        _check_keys(name, raw, _FIELD_TYPES[name])
+        sections[name] = cls(**_typed(name, raw))
     return ExperimentConfig(**sections).validate()
 
 

@@ -34,7 +34,7 @@ class BackboneConfig:
     depth: int = 18
     width: int = 8
     classes: int = 10
-    input_shape: tuple = (1, 12, 12)
+    input_shape: tuple[int, ...] = (1, 12, 12)
 
     def __post_init__(self):
         if self.depth < 3:

@@ -13,12 +13,22 @@ Its NCHW outputs are views of NHWC results, so the next conv needs no
 transpose. dx correlates the stride-dilated gradient with the flipped,
 channel-swapped kernel. No gradient is computed for an input or a kernel that
 does not require one (the stem's image, the frozen EMA twins).
+
+Per-channel ops (batch norm, the 4-d bias gradient, global pooling) meet those
+NHWC-memory arrays too. numpy reduces and broadcasts them one pixel (C
+values) at a time, so on NHWC operands they run at full width instead:
+channel sums through `np.einsum`, channel broadcasts on the (N, H·W·C) row
+view against vectors tiled H·W times. Both give the very bits of the 4-d
+expressions, and they must: einsum walks the memory in the order numpy's own
+reduction does, and a faster sum in any other order re-rolls the trained
+networks that acceptance criterion 6 ranks by a 0.03 error margin.
+NCHW-memory operands keep the 4-d expressions.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import Graph, Tensor
@@ -31,6 +41,42 @@ def _result(op, inputs, out_data, backward_fn, cache_arrays=()):
     if graph is not None and rg:
         graph.record(op, inputs, out, backward_fn, cache_arrays)
     return out
+
+
+def _nhwc(a) -> bool:
+    """Whether the N×C×H×W array `a` lies in NHWC memory order and not also in
+    NCHW order (as it does when C = 1)."""
+    return not a.flags.c_contiguous and a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _channel_sum(a, b=None, keep="c"):
+    """Sum of `a` (or of a·b) over every axis of N×C×H×W operands but those
+    in `keep` ("c" or "nc"), bitwise equal to `(a * b).sum(axis=...)`.
+
+    On NHWC operands numpy's reduction adds pixel after pixel into each
+    channel, C values per inner loop; einsum adds in that same order without
+    the per-pixel dispatch. A product of mixed layouts is written and summed
+    in another order, so it takes einsum only when both operands are NHWC."""
+    if _nhwc(a) and (b is None or _nhwc(b)):
+        if b is None:
+            return np.einsum("nchw->" + keep, a)
+        return np.einsum("nchw,nchw->" + keep, a, b)
+    return (a if b is None else a * b).sum(axis=(0, 2, 3) if keep == "c" else (2, 3))
+
+
+def _channel_layout(*arrays):
+    """(views, bcast, back) for per-channel arithmetic on same-shaped N×C×H×W
+    arrays. When all are NHWC in memory, the views are their (N, H·W·C) rows,
+    `bcast` tiles a channel vector H·W times along a row and `back` turns a
+    row result into the NHWC-memory N×C×H×W view the 4-d expression would
+    have produced; otherwise the arrays stay 4-d and vectors broadcast as
+    [None, :, None, None]."""
+    n, c, h, w = arrays[0].shape
+    if all(_nhwc(a) for a in arrays):
+        return ([a.transpose(0, 2, 3, 1).reshape(n, -1) for a in arrays],
+                lambda v: np.tile(v, h * w),
+                lambda r: r.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+    return list(arrays), lambda v: v[None, :, None, None], lambda a: a
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +108,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
         out = xd + bd[None, :, None, None]
 
         def backward(g):
-            return g, g.sum(axis=(0, 2, 3))
+            return g, _channel_sum(g)
 
     else:
         raise ShapeError(f"bias_add: cannot broadcast {bd.shape} onto {xd.shape}")
@@ -125,10 +171,13 @@ def _patches(x, kh, kw, stride, pad, dilate=1):
     lo, crop = max(pad, 0), max(-pad, 0)
     xp = np.zeros((n, dilate * (h - 1) + 1 + 2 * lo, dilate * (w - 1) + 1 + 2 * lo, c), x.dtype)
     xp[:, lo:xp.shape[1] - lo:dilate, lo:xp.shape[2] - lo:dilate] = x
-    win = sliding_window_view(xp[:, crop:xp.shape[1] - crop, crop:xp.shape[2] - crop],
-                              (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # the (n, ho, wo, c, kh, kw) view, copied once in (n, ho, wo, kh, kw, c) order
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * c)
+    xp = xp[:, crop:xp.shape[1] - crop, crop:xp.shape[2] - crop]
+    sn, sh, sw, sc = xp.strides
+    ho, wo = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+    # the (n, ho, wo, kh, kw, c) window view, copied once
+    win = as_strided(xp, (n, ho, wo, kh, kw, c),
+                     (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    return np.ascontiguousarray(win).reshape(-1, kh * kw * c)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
@@ -173,21 +222,24 @@ def batchnorm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
     m = n * h * w
     if m < 2:
         raise ShapeError("batchnorm2d needs at least 2 values per channel in train mode")
-    mu = xd.mean(axis=(0, 2, 3))
-    var = ((xd - mu[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
+    (xv,), bcast, back = _channel_layout(xd)
+    # the bits of xd.mean: its float64 division rounds to float32 as this one does
+    mu = _channel_sum(xd) / m
+    xc = xv - bcast(mu)
+    var = _channel_sum(back(xc), back(xc)) / m
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    out = back(bcast(gamma.data) * (xc * bcast(inv)) + bcast(beta.data))
 
     def backward(g):
-        xh = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-        dbeta = g.sum(axis=(0, 2, 3))
-        dgamma = (g * xh).sum(axis=(0, 2, 3))
-        dxhat = g * gamma.data[None, :, None, None]
-        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        s2 = (dxhat * xh).sum(axis=(0, 2, 3), keepdims=True)
-        dx = (inv[None, :, None, None] / m) * (m * dxhat - s1 - xh * s2)
-        return dx, dgamma, dbeta
+        (xv, gv), bcast, back = _channel_layout(xd, g)
+        xh = (xv - bcast(mu)) * bcast(inv)
+        dbeta = _channel_sum(g)
+        dgamma = _channel_sum(g, back(xh))
+        dxhat = gv * bcast(gamma.data)
+        s1 = _channel_sum(back(dxhat))
+        s2 = _channel_sum(back(dxhat), back(xh))
+        dx = bcast(inv / m) * (m * dxhat - bcast(s1) - xh * bcast(s2))
+        return back(dx), dgamma, dbeta
 
     t = _result("batchnorm2d", (x, gamma, beta), out, backward, cache_arrays=(mu, inv))
     return t, mu, var
@@ -199,13 +251,13 @@ def batchnorm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     if xd.ndim != 4:
         raise ShapeError(f"batchnorm2d expects N×C×H×W, got {xd.shape}")
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    (xv,), bcast, back = _channel_layout(xd)
+    out = back(bcast(gamma.data) * ((xv - bcast(mean)) * bcast(inv)) + bcast(beta.data))
 
     def backward(g):
         xh = (xd - mean[None, :, None, None]) * inv[None, :, None, None]
         dx = g * (gamma.data * inv)[None, :, None, None]
-        return dx, (g * xh).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+        return dx, _channel_sum(g, xh), _channel_sum(g)
 
     return _result("batchnorm2d_eval", (x, gamma, beta), out, backward)
 
@@ -219,7 +271,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def backward(g):
         return (np.broadcast_to((g / (h * w))[:, :, None, None], xd.shape).copy(),)
 
-    return _result("global_avg_pool", (x,), xd.mean(axis=(2, 3)), backward)
+    return _result("global_avg_pool", (x,), _channel_sum(xd, keep="nc") / (h * w), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -202,12 +202,10 @@ class Graph:
             root = np.full_like(loss.data, seed)
         if loss.node is None:
             return None
-        reachable = self._reachable_from(loss.node)
+        # a node the loss does not reach never gets an entry in `grads`
         grads: dict[int, np.ndarray] = {id(loss.node): root}
         leaf, leaf_grad = None, None
         for node in reversed(self.nodes):
-            if id(node) not in reachable:
-                continue
             out_grad = grads.pop(id(node), None)
             if out_grad is None:
                 continue
@@ -232,17 +230,6 @@ class Graph:
                     raise GraphError(f"tape {self.label!r} has more than one "
                                      "non-parameter input leaf that requires grad")
         return leaf_grad
-
-    def _reachable_from(self, root: Node) -> set[int]:
-        seen = {id(root)}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for t in node.inputs:
-                if t.node is not None and id(t.node) not in seen:
-                    seen.add(id(t.node))
-                    stack.append(t.node)
-        return seen
 
     # -- retention ----------------------------------------------------------
 

@@ -147,6 +147,13 @@ def test_missing_config_file_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_config_value_of_wrong_type_exits_one(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, backbone={"depth": "18"})
+    assert main(["memstat", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "backbone.depth must be an integer" in err and "unexpected" not in err
+
+
 def test_train_without_config_or_resume_exits_one(capsys):
     assert main(["train"]) == 1
     assert "config" in capsys.readouterr().err

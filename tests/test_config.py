@@ -70,10 +70,28 @@ def test_unknown_keys_are_named_precisely():
     ({"trainer": {"r": 1.0}}, "trainer.r"),
     ({"optimizer": {"momentum": 1.0}}, "optimizer.momentum"),
     ({"optimizer": {"weight_decay": -1.0}}, "optimizer.weight_decay"),
+    ({"backbone": {"input_shape": 12}}, "backbone.input_shape must be a list of integers"),
+    ({"backbone": {"depth": "18"}}, "backbone.depth must be an integer"),
+    ({"optimizer": {"lr": "0.1"}}, "optimizer.lr must be a finite number"),
+    ({"run": {"seed": 0, "epochs": "2"}}, "run.epochs must be an integer"),
+    ({"trainer": {"p": "2"}}, "trainer.p must be an integer"),
+    ({"trainer": {"k": True}}, "trainer.k must be an integer"),     # bool is not an int
+    ({"partition": {"K": 8.0}}, "partition.K must be an integer"),  # nor is a float
+    ({"backbone": {"input_shape": [1, 12.0, 12]}}, "backbone.input_shape"),
+    ({"dataset": {"paths": [1, 2]}}, "dataset.paths must be a list of strings"),
+    ({"trainer": {"mode": None}}, "trainer.mode must be a string"),
+    ({"optimizer": {"lr": float("nan")}}, "optimizer.lr must be a finite number"),
+    ({"dataset": {"noise_scale": float("inf")}}, "dataset.noise_scale must be a finite"),
 ])
 def test_validation_rejections(patch, fragment):
     with pytest.raises(mlaan.ConfigError, match=fragment):
         mlaan.config_from_dict(minimal(**patch))
+
+
+def test_float_fields_accept_integers_and_optional_fields_accept_null():
+    cfg = mlaan.config_from_dict(minimal(optimizer={"lr": 1, "min_lr": 0,
+                                                    "lr_cascaded": None}))
+    assert cfg.optimizer.lr == 1 and cfg.optimizer.lr_cascaded is None
 
 
 def test_k_not_checked_for_modes_without_cascades():

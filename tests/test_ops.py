@@ -1,5 +1,6 @@
-"""Forward-value oracles for the tensor ops, independent of the tape, and a
-direct-loop gradient oracle for conv2d."""
+"""Forward-value oracles for the tensor ops, independent of the tape, a
+direct-loop gradient oracle for conv2d, and the 4-d reference kernels that
+the per-channel ops must match bit for bit."""
 
 import numpy as np
 import pytest
@@ -234,6 +235,150 @@ class TestConvGradients:
             dx = graph.backward(out, g)
         np.testing.assert_allclose(dx, reference_conv(x, w.data, g, 1, 1)[1], rtol=1e-10)
         assert not w.grad.any() and w.accum_count == 0
+
+
+# ---------------------------------------------------------------------------
+# per-channel ops: the kernels as 4-d numpy expressions, which the ops must
+# match bit for bit on every memory layout
+# ---------------------------------------------------------------------------
+
+def reference_batchnorm2d_train(x, gamma, beta, eps=1e-5):
+    xd = x.data
+    n, c, h, w = xd.shape
+    m = n * h * w
+    mu = xd.mean(axis=(0, 2, 3))
+    var = ((xd - mu[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+
+    def backward(g):
+        xh = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+        dbeta = g.sum(axis=(0, 2, 3))
+        dgamma = (g * xh).sum(axis=(0, 2, 3))
+        dxhat = g * gamma.data[None, :, None, None]
+        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        s2 = (dxhat * xh).sum(axis=(0, 2, 3), keepdims=True)
+        dx = (inv[None, :, None, None] / m) * (m * dxhat - s1 - xh * s2)
+        return dx, dgamma, dbeta
+
+    t = ops._result("batchnorm2d", (x, gamma, beta), out, backward, cache_arrays=(mu, inv))
+    return t, mu, var
+
+
+def reference_batchnorm2d_eval(x, gamma, beta, mean, var, eps=1e-5):
+    xd = x.data
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (xd - mean[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+
+    def backward(g):
+        xh = (xd - mean[None, :, None, None]) * inv[None, :, None, None]
+        dx = g * (gamma.data * inv)[None, :, None, None]
+        return dx, (g * xh).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+    return ops._result("batchnorm2d_eval", (x, gamma, beta), out, backward)
+
+
+def reference_bias_add(x, b):
+    xd, bd = x.data, b.data
+    if xd.ndim == 2:
+        return ops._result("bias_add", (x, b), xd + bd, lambda g: (g, g.sum(axis=0)))
+    return ops._result("bias_add", (x, b), xd + bd[None, :, None, None],
+                       lambda g: (g, g.sum(axis=(0, 2, 3))))
+
+
+def reference_global_avg_pool(x):
+    xd = x.data
+    n, c, h, w = xd.shape
+
+    def backward(g):
+        return (np.broadcast_to((g / (h * w))[:, :, None, None], xd.shape).copy(),)
+
+    return ops._result("global_avg_pool", (x,), xd.mean(axis=(2, 3)), backward)
+
+
+def laid_out(a, layout):
+    """`a`'s values in NCHW memory, or in NHWC memory behind an NCHW view."""
+    if layout == "nhwc":
+        return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(a)
+
+
+def same_bits(got, want):
+    return got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
+class TestChannelSums:
+    @pytest.mark.parametrize("layout", ["nhwc", "nchw"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [2, 16, 130])
+    def test_equal_numpys_reduction(self, n, c, dtype, layout):
+        """The einsum route must add in numpy's order; a numpy build where it
+        does not would silently re-roll every trained network."""
+        gen = np.random.default_rng(n * 10 + c)
+        a, b = (laid_out((gen.standard_normal((n, c, 12, 12)) * 3 + 1).astype(dtype), layout)
+                for _ in range(2))
+        assert same_bits(ops._channel_sum(a), a.sum(axis=(0, 2, 3)))
+        assert same_bits(ops._channel_sum(a, b), (a * b).sum(axis=(0, 2, 3)))
+        assert same_bits(ops._channel_sum(a, keep="nc"), a.sum(axis=(2, 3)))
+        mixed = laid_out(b, "nchw" if layout == "nhwc" else "nhwc")
+        assert same_bits(ops._channel_sum(a, mixed), (a * mixed).sum(axis=(0, 2, 3)))
+
+
+BN_LAYOUTS = [("nhwc", "nhwc"), ("nhwc", "nchw"), ("nchw", "nchw")]  # (input, gradient)
+
+
+class TestBatchNormMatchesReference:
+    @staticmethod
+    def run(kernel, x, g, *args):
+        """Forward on a tape, then the recorded backward on `g`."""
+        xt = Tensor(x, requires_grad=True)
+        gamma, beta = Parameter("gamma", args[0]), Parameter("beta", args[1])
+        with Graph("g"):
+            res = kernel(xt, gamma, beta, *args[2:])
+        out = res[0] if isinstance(res, tuple) else res
+        return res, out.node.backward_fn(g)
+
+    @staticmethod
+    def inputs(layouts, dtype, c=8):
+        gen = np.random.default_rng(c)
+        x = laid_out((gen.standard_normal((16, c, 12, 12)) * 2 + 0.5).astype(dtype), layouts[0])
+        g = laid_out(gen.standard_normal((16, c, 12, 12)).astype(dtype), layouts[1])
+        gamma, beta, mean = (gen.standard_normal(c).astype(dtype) for _ in range(3))
+        return x, g, gamma, beta, mean, (gen.random(c) + 0.5).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layouts", BN_LAYOUTS)
+    def test_train(self, layouts, dtype):
+        x, g, gamma, beta, _, _ = self.inputs(layouts, dtype)
+        got, got_grads = self.run(ops.batchnorm2d_train, x, g, gamma, beta)
+        want, want_grads = self.run(reference_batchnorm2d_train, x, g, gamma, beta)
+        assert same_bits(got[0].data, want[0].data)
+        assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+        for a, b in zip(got_grads, want_grads):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layouts", BN_LAYOUTS)
+    def test_eval(self, layouts, dtype):
+        x, g, gamma, beta, mean, var = self.inputs(layouts, dtype)
+        got, got_grads = self.run(ops.batchnorm2d_eval, x, g, gamma, beta, mean, var)
+        want, want_grads = self.run(reference_batchnorm2d_eval, x, g, gamma, beta, mean, var)
+        assert same_bits(got.data, want.data)
+        for a, b in zip(got_grads, want_grads):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("layout", ["nhwc", "nchw"])
+    def test_pool_and_bias(self, layout):
+        x, g, _, beta, _, _ = self.inputs((layout, layout), np.float32)
+        xt, bt = Tensor(x, requires_grad=True), Parameter("b", beta)
+        assert same_bits(ops.global_avg_pool(xt).data, reference_global_avg_pool(xt).data)
+        with Graph("g"):
+            got, want = ops.bias_add(xt, bt), reference_bias_add(xt, bt)
+        assert same_bits(got.data, want.data)
+        assert same_bits(got.node.backward_fn(g)[1], want.node.backward_fn(g)[1])
 
 
 class TestElementwise:

@@ -9,6 +9,8 @@ from mlaan.network import warmup_batch_stats
 from mlaan.tensor import Graph, Tensor
 from mlaan.training import eq10_update, eq11_update
 from conftest import make_trainer
+from test_ops import (reference_batchnorm2d_eval, reference_batchnorm2d_train,
+                      reference_bias_add, reference_global_avg_pool)
 
 
 def small_batch(trainer, n=6, seed=0):
@@ -213,6 +215,42 @@ def test_step_matches_reforward_reference_with_one_forward(kind, monkeypatch):
     for got, want in zip(trainer.backbone.batchnorms(), reference.backbone.batchnorms()):
         assert got.running_mean.tobytes() == want.running_mean.tobytes()
         assert got.running_var.tobytes() == want.running_var.tobytes()
+
+
+@pytest.mark.parametrize("kind,p", [("bp", 0), ("greedy_local", 0), ("mlm_only", 0),
+                                    ("lam_only", 2), ("mlaan", 2)])
+def test_step_matches_the_4d_reference_kernels_bitwise(kind, p, monkeypatch):
+    """Steps with the full-width per-channel kernels equal, bit for bit, the
+    same steps with the 4-d reference kernels, so no drift in their arithmetic
+    can re-roll a trained network unseen."""
+    def two_steps():  # the second backward sees gammas other than their initial ones
+        tr = make_trainer(kind, K=4, depth=10, width=8, k=3, p=p)
+        for seed in (0, 1):
+            bx, by = small_batch(tr, n=8, seed=seed)
+            tr.step(bx, by, 0.05)
+        return tr, tr.backbone.forward(Tensor(bx), training=False).data
+
+    got, got_logits = two_steps()
+    for name, kernel in (("batchnorm2d_train", reference_batchnorm2d_train),
+                         ("batchnorm2d_eval", reference_batchnorm2d_eval),
+                         ("bias_add", reference_bias_add),
+                         ("global_avg_pool", reference_global_avg_pool)):
+        monkeypatch.setattr(ops, name, kernel)
+    want, want_logits = two_steps()
+
+    for a, b in zip(got.all_params, want.all_params):
+        assert a.data.tobytes() == b.data.tobytes(), a.name
+        assert a.velocity.tobytes() == b.velocity.tobytes(), a.name
+    def batchnorms(tr):  # the backbone's, then the leap replicas'
+        return tr.backbone.batchnorms() + [u.bn for pair in tr.pairs.values()
+                                           for u in pair.phi_prime + pair.phi_double]
+
+    assert len(batchnorms(got)) > len(got.backbone.batchnorms()) or p == 0
+    for a, b in zip(batchnorms(got), batchnorms(want)):
+        assert a.running_mean.tobytes() == b.running_mean.tobytes(), a.name
+        assert a.running_var.tobytes() == b.running_var.tobytes(), a.name
+    assert got.last_accum_counts == want.last_accum_counts
+    assert got_logits.tobytes() == want_logits.tobytes()
 
 
 def test_fit_tolerates_two_bad_steps(tiny_data):
