@@ -14,7 +14,7 @@ from .errors import ConfigError, DataError
 from .layers import Linear
 from .optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
 from .rng import named_stream
-from .tensor import Graph, Tensor
+from .tensor import Graph, Parameter, Tensor
 
 CSV_HEADER = ("epoch", "train_loss", "test_error", "lr", "peak_elements", "wall_time_s")
 
@@ -117,39 +117,46 @@ def linear_probes(modules, layers, data, probe_epochs: int = 30,
                   probe_lr: float = 0.1, batch_size: int = 64, seed: int = 0) -> list:
     """Per module number in `layers` (1-based), a fresh linear classifier's test
     error on frozen, pooled features from one pass over modules[:max(layers)].
-    Main-network parameters are read, never written."""
+    The probes train as one stacked model, one tape and one optimizer step per
+    batch; each slab keeps its layer's own `probe/init` draw and `probe/shuffle`
+    order and ends with the bits of that layer's fit alone. Main-network
+    parameters are read, never written."""
     for layer in layers:
         if not 1 <= layer <= len(modules):
             raise ConfigError(f"layer {layer} out of range 1..{len(modules)}")
-    top = max(layers, default=0)
+    if not layers:
+        return []
+    top = max(layers)
     train_all = module_features(modules[:top], data.train_x)
     test_all = module_features(modules[:top], data.test_x)
+    train_f = np.stack([train_all[layer - 1] for layer in layers])
+    test_f = np.stack([test_all[layer - 1] for layer in layers])
     classes = int(max(data.train_y.max(), data.test_y.max())) + 1
-    results = []
-    for layer in layers:
-        train_f, test_f = train_all[layer - 1], test_all[layer - 1]
-        probe = Linear(f"probe{layer}", train_f.shape[1], classes,
-                       named_stream(seed, f"probe/init/{layer}"), train_f.dtype)
-        n = len(train_f)
-        steps_per_epoch = max(1, n // batch_size)
-        total = probe_epochs * steps_per_epoch
-        opt = SGDNesterov(probe.parameters(), OptimizerConfig(lr=probe_lr))
-        gen = named_stream(seed, f"probe/shuffle/{layer}")
-        step = 0
-        for _ in range(probe_epochs):
-            perm = gen.permutation(n)
-            for b in range(steps_per_epoch):
-                idx = perm[b * batch_size:(b + 1) * batch_size]
-                with Graph(f"probe{layer}") as g:
-                    loss = ops.softmax_cross_entropy(probe(Tensor(train_f[idx])),
-                                                     data.train_y[idx])
-                    g.backward(loss)
-                    g.release()
-                opt.step(cosine_annealing_lr(step, probe_lr, 0.0, total))
-                step += 1
-        preds = probe(Tensor(test_f)).data.argmax(axis=1)
-        results.append({"layer": layer, "value": float((preds != data.test_y).mean())})
-    return results
+    probes = [Linear(f"probe{layer}", train_f.shape[2], classes,
+                     named_stream(seed, f"probe/init/{layer}"), train_f.dtype)
+              for layer in layers]
+    w = Parameter("probes.w", np.stack([p.w.data for p in probes]), train_f.dtype)
+    bias = Parameter("probes.b", np.stack([p.b.data for p in probes]), train_f.dtype)
+    n = train_f.shape[1]
+    steps_per_epoch = max(1, n // batch_size)
+    total = probe_epochs * steps_per_epoch
+    opt = SGDNesterov([w, bias], OptimizerConfig(lr=probe_lr))
+    gens = [named_stream(seed, f"probe/shuffle/{layer}") for layer in layers]
+    slabs = np.arange(len(layers))[:, None]
+    step = 0
+    for _ in range(probe_epochs):
+        perms = np.stack([gen.permutation(n) for gen in gens])
+        for b in range(steps_per_epoch):
+            idx = perms[:, b * batch_size:(b + 1) * batch_size]
+            with Graph("probes") as g:
+                logits = ops.bias_add(ops.matmul(Tensor(train_f[slabs, idx]), w), bias)
+                g.backward(ops.softmax_cross_entropy(logits, data.train_y[idx]))
+                g.release()
+            opt.step(cosine_annealing_lr(step, probe_lr, 0.0, total))
+            step += 1
+    preds = ops.bias_add(ops.matmul(Tensor(test_f), w), bias).data.argmax(axis=2)
+    return [{"layer": layer, "value": float((p != data.test_y).mean())}
+            for layer, p in zip(layers, preds)]
 
 
 def linear_probe(modules, layer: int, data, probe_epochs: int = 30,

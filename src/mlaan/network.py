@@ -37,6 +37,10 @@ class BackboneConfig:
     input_shape: tuple[int, ...] = (1, 12, 12)
 
     def __post_init__(self):
+        for key in ("depth", "width", "classes"):
+            value = getattr(self, key)
+            if type(value) is not int:  # bool is an int subclass
+                raise ConfigError(f"backbone.{key} must be an integer, got {value!r}")
         if self.depth < 3:
             raise ConfigError(f"backbone.depth must be >= 3 (stem + at least "
                               f"one unit + classifier), got {self.depth}")
@@ -45,7 +49,7 @@ class BackboneConfig:
         if self.classes < 2:
             raise ConfigError(f"backbone.classes must be >= 2, got {self.classes}")
         shape = tuple(self.input_shape)
-        if len(shape) != 3 or any(not isinstance(v, int) or v < 1 for v in shape):
+        if len(shape) != 3 or any(type(v) is not int or v < 1 for v in shape):
             raise ConfigError(f"backbone.input_shape must be three positive ints (C, H, W), "
                               f"got {self.input_shape!r}")
         self.input_shape = shape

@@ -23,6 +23,12 @@ expressions, and they must: einsum walks the memory in the order numpy's own
 reduction does, and a faster sum in any other order re-rolls the trained
 networks that acceptance criterion 6 ranks by a 0.03 error margin.
 NCHW-memory operands keep the 4-d expressions.
+
+`matmul`, the dense `bias_add` and `softmax_cross_entropy` also take one
+leading stack axis: (L, m, ·) slabs with an (L, c) bias and (L, m) labels.
+Each slab gets the bits of the 2-d op on that slab alone, forward and
+backward, and the stacked loss is the sum of the slabs' mean losses, so a seed
+of 1 hands each slab its own mean's gradient. The linear probes train so.
 """
 
 from __future__ import annotations
@@ -85,26 +91,26 @@ def _channel_layout(*arrays):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul needs [m×n]@[n×p], got {ad.shape} @ {bd.shape}")
+    if (ad.ndim not in (2, 3) or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
+        raise ShapeError(f"matmul needs [m×n]@[n×p] or [L×m×n]@[L×n×p], "
+                         f"got {ad.shape} @ {bd.shape}")
 
     def backward(g):
-        return g @ bd.T, ad.T @ g
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _result("matmul", (a, b), ad @ bd, backward)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
     xd, bd = x.data, b.data
-    if bd.ndim != 1:
-        raise ShapeError(f"bias must be 1-d, got shape {bd.shape}")
-    if xd.ndim == 2 and xd.shape[1] == bd.shape[0]:
-        out = xd + bd
+    if xd.ndim in (2, 3) and bd.shape == xd.shape[:-2] + xd.shape[-1:]:
+        out = xd + bd[..., None, :]
 
         def backward(g):
-            return g, g.sum(axis=0)
+            return g, g.sum(axis=-2)
 
-    elif xd.ndim == 4 and xd.shape[1] == bd.shape[0]:
+    elif xd.ndim == 4 and bd.shape == xd.shape[1:2]:
         out = xd + bd[None, :, None, None]
 
         def backward(g):
@@ -280,24 +286,27 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     ld = logits.data
-    if ld.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy expects N×C logits, got {ld.shape}")
+    if ld.ndim not in (2, 3):
+        raise ShapeError(f"softmax_cross_entropy expects N×C or L×N×C logits, got {ld.shape}")
     y = np.asarray(labels)
-    n, c = ld.shape
-    if y.shape != (n,):
-        raise ShapeError(f"labels shape {y.shape} does not match batch {n}")
+    n, c = ld.shape[-2:]
+    if y.shape != ld.shape[:-1]:
+        raise ShapeError(f"labels shape {y.shape} does not match logits {ld.shape} "
+                         "without their class axis")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise DataError(f"label out of range [0,{c}): {int(y.min())}..{int(y.max())}")
-    z = ld - ld.max(axis=1, keepdims=True)
+    z = ld - ld.max(axis=-1, keepdims=True)
     ez = np.exp(z)
-    sz = ez.sum(axis=1, keepdims=True)
+    sz = ez.sum(axis=-1, keepdims=True)
     probs = ez / sz
-    nll = np.log(sz[:, 0]) - z[np.arange(n), y]
-    loss = np.asarray(nll.mean(), dtype=ld.dtype)
+    rows, cols = np.arange(y.size), y.reshape(-1)
+    nll = np.log(sz[..., 0]) - z.reshape(-1, c)[rows, cols].reshape(y.shape)
+    # the sum of the slabs' mean losses: each slab's gradient is its own mean's
+    loss = np.asarray(nll.mean(axis=-1).sum(), dtype=ld.dtype)
 
     def backward(g):
         d = probs.copy()
-        d[np.arange(n), y] -= 1.0
+        d.reshape(-1, c)[rows, cols] -= 1.0
         return (d * (float(g) / n),)
 
     return _result("softmax_cross_entropy", (logits,), loss, backward, cache_arrays=(probs,))

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 import mlaan
+from mlaan import ops
 from mlaan.analysis import CSV_HEADER, module_features
+from mlaan.layers import Linear
 from mlaan.network import warmup_batch_stats
+from mlaan.optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
+from mlaan.rng import named_stream
+from mlaan.tensor import Graph, Tensor
 from conftest import make_trainer
 
 
@@ -193,6 +198,75 @@ def test_linear_probes_match_single_layer_probes(tiny_data):
         rows = mlaan.linear_probes(tr.modules, layers, tiny_data, probe_epochs=3)
         assert rows == [mlaan.linear_probe(tr.modules, layer, tiny_data, probe_epochs=3)
                         for layer in layers]
+
+
+def per_layer_probes(modules, layers, data, probe_epochs, probe_lr=0.1, batch_size=64,
+                     seed=0):
+    """The probes fitted one layer at a time, each on its own tape and optimizer:
+    the reference the stacked fit must match bit for bit."""
+    train_all = module_features(modules, data.train_x)
+    test_all = module_features(modules, data.test_x)
+    classes = int(max(data.train_y.max(), data.test_y.max())) + 1
+    rows = []
+    for layer in layers:
+        train_f, test_f = train_all[layer - 1], test_all[layer - 1]
+        probe = Linear(f"probe{layer}", train_f.shape[1], classes,
+                       named_stream(seed, f"probe/init/{layer}"), train_f.dtype)
+        n = len(train_f)
+        steps_per_epoch = max(1, n // batch_size)
+        total = probe_epochs * steps_per_epoch
+        opt = SGDNesterov(probe.parameters(), OptimizerConfig(lr=probe_lr))
+        gen = named_stream(seed, f"probe/shuffle/{layer}")
+        step = 0
+        for _ in range(probe_epochs):
+            perm = gen.permutation(n)
+            for b in range(steps_per_epoch):
+                idx = perm[b * batch_size:(b + 1) * batch_size]
+                with Graph(f"probe{layer}") as g:
+                    loss = ops.softmax_cross_entropy(probe(Tensor(train_f[idx])),
+                                                     data.train_y[idx])
+                    g.backward(loss)
+                    g.release()
+                opt.step(cosine_annealing_lr(step, probe_lr, 0.0, total))
+                step += 1
+        preds = probe(Tensor(test_f)).data.argmax(axis=1)
+        rows.append({"layer": layer, "value": float((preds != data.test_y).mean())})
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_probes_match_the_per_layer_fits(tiny_data, dtype):
+    mlaan.set_default_dtype(dtype)
+    tr = make_trainer("greedy_local", K=3)
+    tr.fit(tiny_data, epochs=1, batch_size=16)
+    assert module_features(tr.modules, tiny_data.test_x[:2])[0].dtype == dtype
+    for layers in ([1, 2, 3], [3, 1], [2, 2], []):
+        rows = mlaan.linear_probes(tr.modules, layers, tiny_data, probe_epochs=4,
+                                   batch_size=16)
+        assert rows == per_layer_probes(tr.modules, layers, tiny_data, probe_epochs=4,
+                                        batch_size=16)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_probe_all_makes_one_tape_and_one_step_per_batch(tiny_data, monkeypatch, K):
+    tr = make_trainer("greedy_local", K=K)
+    warmup_batch_stats(tr.backbone, tiny_data.train_x[:16])
+    counts = {"tapes": 0, "steps": 0}
+    enter, step = Graph.__enter__, mlaan.optim.SGDNesterov.step
+
+    def counted_enter(self):
+        counts["tapes"] += 1
+        return enter(self)
+
+    def counted_step(self, lr_now):
+        counts["steps"] += 1
+        return step(self, lr_now)
+    monkeypatch.setattr(Graph, "__enter__", counted_enter)
+    monkeypatch.setattr(mlaan.optim.SGDNesterov, "step", counted_step)
+    mlaan.linear_probes(tr.modules, range(1, K + 1), tiny_data, probe_epochs=3,
+                        batch_size=16)
+    steps_per_epoch = len(tiny_data.train_x) // 16
+    assert counts == {"tapes": 3 * steps_per_epoch, "steps": 3 * steps_per_epoch}
 
 
 def test_probe_reads_but_never_writes(tiny_data):

@@ -222,7 +222,14 @@ class TestBackboneShape:
         ("width", 0, "width"),
         ("num_classes", 1, "classes"),
         ("input_shape", (8, 8), "input_shape"),
-    ], ids=["depth", "width", "classes", "input_shape"])
+        ("depth", 10.0, "depth"),
+        ("width", True, "width"),
+        ("width", 8.5, "width"),
+        ("num_classes", "10", "classes"),
+        ("input_shape", (True, 12, 12), "input_shape"),
+        ("input_shape", (1, 12.0, 12), "input_shape"),
+    ], ids=["depth", "width", "classes", "input_shape", "depth_float", "width_bool",
+            "width_float", "classes_str", "input_shape_bool", "input_shape_float"])
     def test_bad_shape_names_its_key(self, arg, value, key):
         shape = {"depth": 10, "width": 4, "num_classes": 10, "input_shape": (1, 8, 8), arg: value}
         with pytest.raises(ConfigError, match=f"backbone.{key} must"):

@@ -381,6 +381,79 @@ class TestBatchNormMatchesReference:
         assert same_bits(got.node.backward_fn(g)[1], want.node.backward_fn(g)[1])
 
 
+class TestStackedOps:
+    """On an (L, m, ·) stack, matmul, bias_add and softmax_cross_entropy give
+    each slab the very bits of the 2-d op on that slab alone."""
+
+    @staticmethod
+    def chain(x, w, b, y):
+        """Forward x @ w + b into the loss on one tape, backward with seed 1.0;
+        returns the forward values and the gradients at x, w and b."""
+        xt = Tensor(x, requires_grad=True)
+        wp, bp = Parameter("w", w, w.dtype), Parameter("b", b, b.dtype)
+        with Graph("g") as g:
+            h = ops.matmul(xt, wp)
+            logits = ops.bias_add(h, bp)
+            loss = ops.softmax_cross_entropy(logits, y)
+            dx = g.backward(loss, 1.0)
+        return (h.data, logits.data, loss.data), (dx, wp.grad, bp.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("L,m,n,p", [(3, 5, 4, 6), (4, 64, 8, 10), (2, 130, 8, 10)])
+    def test_slabs_match_the_2d_ops(self, L, m, n, p, dtype):
+        gen = np.random.default_rng(m * 10 + p)
+        x = gen.standard_normal((L, m, n)).astype(dtype)
+        w = gen.standard_normal((L, n, p)).astype(dtype)
+        b = gen.standard_normal((L, p)).astype(dtype)
+        y = gen.integers(0, p, (L, m))
+        (h, logits, loss), grads = self.chain(x, w, b, y)
+        slab_losses = []
+        for i in range(L):
+            (h2, logits2, loss2), grads2 = self.chain(x[i], w[i], b[i], y[i])
+            assert same_bits(h[i], h2) and same_bits(logits[i], logits2)
+            for got, want in zip(grads, grads2):
+                assert got.dtype == dtype and same_bits(got[i], want)
+            slab_losses.append(loss2)
+        assert same_bits(loss, np.array(slab_losses).sum())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_recorded_backward_matches_per_slab(self, dtype):
+        """matmul's and bias_add's recorded backward on an arbitrary gradient."""
+        gen = np.random.default_rng(7)
+        a, w = gen.standard_normal((3, 9, 5)).astype(dtype), gen.standard_normal((3, 5, 4))
+        w, b = w.astype(dtype), gen.standard_normal((3, 4)).astype(dtype)
+        g = gen.standard_normal((3, 9, 4)).astype(dtype)
+        with Graph("g"):
+            mm = ops.matmul(Tensor(a, requires_grad=True), Parameter("w", w, dtype))
+            ba = ops.bias_add(Tensor(a[..., :4], requires_grad=True), Parameter("b", b, dtype))
+            for i in range(3):
+                mm2 = ops.matmul(Tensor(a[i], requires_grad=True), Parameter("w", w[i], dtype))
+                ba2 = ops.bias_add(Tensor(a[i, :, :4], requires_grad=True),
+                                   Parameter("b", b[i], dtype))
+                for got, want in zip(mm.node.backward_fn(g), mm2.node.backward_fn(g[i])):
+                    assert same_bits(got[i], want)
+                for got, want in zip(ba.node.backward_fn(g), ba2.node.backward_fn(g[i])):
+                    assert same_bits(got[i], want)
+
+    def test_stack_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            ops.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 5))))
+        with pytest.raises(ShapeError):
+            ops.matmul(t(np.ones((2, 3, 4))), t(np.ones((2, 5, 4))))
+        with pytest.raises(ShapeError):
+            ops.bias_add(t(np.ones((2, 3, 4))), t(np.ones((3, 4))))
+        with pytest.raises(ShapeError):
+            ops.bias_add(t(np.ones((2, 3, 4))), t(np.ones(4)))
+
+    @pytest.mark.parametrize("shape,labels", [
+        ((2, 3, 4), (2,)), ((2, 3, 4), (3,)), ((2, 3, 4), (3, 2)), ((2, 3, 4), (6,)),
+        ((3, 4), (3, 1)), ((3, 4), (2,)),
+    ])
+    def test_labels_must_drop_the_class_axis(self, shape, labels):
+        with pytest.raises(ShapeError):
+            ops.softmax_cross_entropy(t(np.zeros(shape)), np.zeros(labels, dtype=np.int64))
+
+
 class TestElementwise:
     def test_relu_gates_negatives(self):
         out = ops.relu(t([-2.0, -0.0, 0.5, 3.0]))
