@@ -184,18 +184,13 @@ def restore_into(trainer, ckpt: Checkpoint) -> None:
     if missing or extra:
         raise CheckpointError(
             f"{ckpt.path}: state mismatch (missing {missing[:3]}, extra {extra[:3]})")
-    for p in trainer.all_params:
-        arr = ckpt.arrays[f"param/{p.name}"]
-        if arr.shape != p.data.shape or arr.dtype != p.data.dtype:
-            raise CheckpointError(f"{ckpt.path}: param/{p.name} is "
-                                  f"{arr.dtype}{arr.shape}, expected "
-                                  f"{p.data.dtype}{p.data.shape}")
-        p.data[...] = arr
-        if p.requires_grad:
-            p.velocity[...] = ckpt.arrays[f"vel/{p.name}"]
+    for name, dst in expected.items():
+        arr = ckpt.arrays[name]
+        if arr.shape != dst.shape or arr.dtype != dst.dtype:
+            raise CheckpointError(f"{ckpt.path}: {name} is {arr.dtype}{arr.shape}, "
+                                  f"expected {dst.dtype}{dst.shape}")
+        dst[...] = arr
     for bn in trainer.backbone.batchnorms():
-        bn.running_mean[...] = ckpt.arrays[f"buf/{bn.name}.running_mean"]
-        bn.running_var[...] = ckpt.arrays[f"buf/{bn.name}.running_var"]
         bn.initialized = bool(ckpt.arrays[f"buf/{bn.name}.initialized"][0])
     trainer.step_index = ckpt.step
     if ckpt.sidecar and "rng" in ckpt.sidecar:

@@ -18,7 +18,7 @@ import numpy as np
 from . import checkpoint as ckpt_mod
 from . import data as data_mod
 from .analysis import MetricsRecorder, layerwise_cka, linear_probes, meter_peak_activations
-from .config import DATASET_KINDS, ExperimentConfig, config_from_dict, load_config
+from .config import DatasetSection, ExperimentConfig, config_from_dict, load_config
 from .errors import CheckpointError, ConfigError, DataError, MlaanError
 from .network import Backbone
 from .tensor import get_default_dtype, set_default_dtype
@@ -117,14 +117,8 @@ def _load_trained(path: str):
 def parse_dataset_flag(spec: str, cfg: ExperimentConfig) -> data_mod.Dataset:
     """`synthetic`, `idx:ti,tl,vi,vl`, or `cifar10bin:b1,...,test`."""
     kind, _, rest = spec.partition(":")
-    paths = tuple(p for p in rest.split(",") if p)
-    if kind not in DATASET_KINDS:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    if kind == "idx" and len(paths) != 4:
-        raise ConfigError("--dataset idx needs 4 comma-separated paths")
-    if kind == "cifar10bin" and len(paths) < 2:
-        raise ConfigError("--dataset cifar10bin needs at least 2 paths")
-    return _load_dataset(kind, paths, cfg)
+    d = DatasetSection(kind, tuple(p for p in rest.split(",") if p))
+    return _load_dataset(d.kind, d.paths, cfg)
 
 
 def resize_images(x: np.ndarray, target_hw, policy: str) -> np.ndarray:

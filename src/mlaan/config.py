@@ -99,6 +99,20 @@ class DatasetSection:
     subset_size: int = 0
     noise_scale: float = 0.35
 
+    def __post_init__(self):
+        if self.kind not in DATASET_KINDS:
+            raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {self.kind!r}")
+        if self.kind == "idx" and len(self.paths) != 4:
+            raise ConfigError("dataset.kind 'idx' needs paths "
+                              "[train_images, train_labels, test_images, test_labels]")
+        if self.kind == "cifar10bin" and len(self.paths) < 2:
+            raise ConfigError("dataset.kind 'cifar10bin' needs at least two paths "
+                              "(train batches..., test batch)")
+        if self.subset_size < 0:
+            raise ConfigError(f"dataset.subset_size must be >= 0, got {self.subset_size}")
+        if self.noise_scale <= 0:
+            raise ConfigError(f"dataset.noise_scale must be > 0, got {self.noise_scale}")
+
 
 @dataclass
 class OutputSection:
@@ -116,7 +130,7 @@ class ExperimentConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
     def validate(self) -> "ExperimentConfig":
-        t, r, d = self.trainer, self.run, self.dataset
+        t, r = self.trainer, self.run
         if r.seed is None:
             raise ConfigError("run.seed is required")
         if not isinstance(r.seed, int) or r.seed < 0:
@@ -130,18 +144,6 @@ class ExperimentConfig:
         t.build()
         check_partition(self.backbone.depth - 2, self.partition.K,
                         t.k if t.mode in CASCADE_MODES else None)
-        if d.kind not in DATASET_KINDS:
-            raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {d.kind!r}")
-        if d.kind == "idx" and len(d.paths) != 4:
-            raise ConfigError("dataset.kind 'idx' needs paths "
-                              "[train_images, train_labels, test_images, test_labels]")
-        if d.kind == "cifar10bin" and len(d.paths) < 2:
-            raise ConfigError("dataset.kind 'cifar10bin' needs at least two paths "
-                              "(train batches..., test batch)")
-        if d.subset_size < 0:
-            raise ConfigError(f"dataset.subset_size must be >= 0, got {d.subset_size}")
-        if d.noise_scale <= 0:
-            raise ConfigError(f"dataset.noise_scale must be > 0, got {d.noise_scale}")
         return self
 
     def out_dir(self) -> str:

@@ -1,4 +1,4 @@
-"""Backbone construction, partitioning into local modules, and auxiliary machinery.
+"""Backbone construction, partitioning into local modules, and leap replicas.
 
 The backbone is a constant-width residual stack (stem conv -> depth-2
 residual units -> global pool -> linear classifier). Constant width with no
@@ -8,7 +8,9 @@ feature maps unchanged.
 
 Partitioning shares layer objects with the backbone — a module is a view,
 not a copy — so training through modules and evaluating through the
-backbone see the same parameters by construction.
+backbone see the same parameters by construction. The auxiliary heads and
+cascade windows are not built here: each is part of a supervision signal,
+which `training.Trainer` builds with its modules, head and replica pair.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError
-from .layers import AuxHead, BatchNorm2d, Conv2d, Linear, ResidualUnit
+from .layers import BatchNorm2d, Conv2d, Linear, ResidualUnit
 from .rng import named_stream
 from .tensor import Tensor
 
@@ -149,51 +151,6 @@ def partition(backbone: Backbone, K: int):
             tail=backbone.classifier if j == K else None))
         at += size
     return sizes, modules
-
-
-def attach_independent_heads(modules, classes: int, seed: int):
-    """One auxiliary head per module except the last (its classifier is the head)."""
-    width = _module_width(modules)
-    return {m.index: AuxHead(f"head{m.index}", width, classes,
-                             named_stream(seed, f"init/head/{m.index}"))
-            for m in modules[:-1]}
-
-
-@dataclass
-class CascadeGroup:
-    start: int
-    members: list
-    head: Optional[AuxHead]                 # None when the group ends at module K
-    pair: Optional["LeapReplicaPair"] = None
-
-    @property
-    def last(self):
-        return self.members[-1]
-
-
-def attach_cascade_groups(modules, k: int, classes: int, seed: int):
-    """Stride-1 overlapping windows of k consecutive modules, one head each."""
-    K = len(modules)
-    check_partition(sum(len(m.units) for m in modules), K, k)
-    width = _module_width(modules)
-    groups = []
-    for start in range(1, K - k + 2):
-        members = modules[start - 1:start - 1 + k]
-        head = None
-        if members[-1].index < K:
-            head = AuxHead(f"cascade{start}", width, classes,
-                           named_stream(seed, f"init/cascade/{start}"))
-        groups.append(CascadeGroup(start, members, head))
-    return groups
-
-
-def _module_width(modules) -> int:
-    for m in modules:
-        if m.units:
-            return m.units[0].conv.w.shape[0]
-        if m.stem is not None:
-            return m.stem[0].w.shape[0]
-    raise ConfigError("cannot infer module width: no conv layers present")
 
 
 LEAP_FRACTIONS = (0.1, 0.5, 0.9)

@@ -97,7 +97,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                          f"got {ad.shape} @ {bd.shape}")
 
     def backward(g):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+        return (g @ bd.swapaxes(-1, -2) if a.requires_grad else None,
+                ad.swapaxes(-1, -2) @ g if b.requires_grad else None)
 
     return _result("matmul", (a, b), ad @ bd, backward)
 

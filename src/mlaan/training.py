@@ -2,15 +2,16 @@
 leap-augmented, and the full combined method, plus the epoch loop and
 evaluation.
 
-Every rule is a set of supervision signals: one loss on one module's output,
-trained into modules start..end and no further. Greedy local gives each
-module a head, a cascade window gives one head to k modules, and BP is one
-signal, the classifier over all K modules. One step serves every rule: it
-forwards each module once, on its own tape, from a leaf copy of the previous
-module's output; each signal runs on its own tape over a leaf copy of the
-features it reads, and its gradient there is pushed back through the body
-tapes of the modules it trains. A body tape lives while a signal covering it
-is still to run: at most k tapes at once, or all K for BP.
+Every rule is a set of supervision signals (`Signal`): one loss on one
+module's output, trained into the modules the signal lists and no further.
+Greedy local gives each module a head, a cascade window gives one head to k
+modules, and BP is one signal, the classifier over all K modules. One step
+serves every rule: it forwards each module once, on its own tape, from a
+leaf copy of the previous module's output; each signal runs on its own tape
+over a leaf copy of the features it reads, and its gradient there is pushed
+back through the body tapes of the modules it trains. A body tape lives
+while a signal covering it is still to run: at most k tapes at once, or all
+K for BP.
 
 Two learning rates are realized with one optimizer by scaling cascade-loss
 backward seeds by eta_c/eta_d, so all supervision terms accumulate into one
@@ -31,9 +32,8 @@ from . import ops
 from .analysis import ActivationMeter, MetricsRecorder
 from .errors import ConfigError, DataError, TrainingDiverged
 from .layers import AuxHead
-from .network import (Backbone, LeapReplicaPair, attach_cascade_groups,
-                      attach_independent_heads, build_leap_replicas, partition,
-                      resync_replicas)
+from .network import (Backbone, LeapReplicaPair, build_leap_replicas, check_partition,
+                      partition, resync_replicas)
 from .optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
 from .rng import named_stream
 from .tensor import Graph, Tensor
@@ -77,13 +77,22 @@ class StepReport:
 
 @dataclass
 class Signal:
-    """A loss on the output of the module it is planned at, read by `head` (the
-    classifier when None) behind `pair`'s replicas, trained into modules start..that one."""
+    """One supervision signal: a loss on the output of the last of `members`, read
+    by `head` (the classifier when None) behind `pair`'s replicas, its backward
+    seeded with `seed` and trained into `members` and no further."""
     kind: str  # "module", "cascade" or "bp"
-    start: int
+    members: list
     head: Optional[AuxHead] = None
     pair: Optional[LeapReplicaPair] = None
     seed: float = 1.0
+
+    @property
+    def start(self) -> int:
+        return self.members[0].index
+
+    @property
+    def last(self):
+        return self.members[-1]
 
     @property
     def label(self) -> str:
@@ -133,38 +142,42 @@ class Trainer:
         self.seed = seed
         self.sizes, self.modules = partition(backbone, K)
         self.K = K
-        classes = backbone.cfg.classes
         self.cascade_seed = opt_cfg.cascade_scale()
+        mods, cfg = self.modules, backbone.cfg
 
-        local = mode.kind != "bp"
-        self.heads = attach_independent_heads(self.modules, classes, seed) if local and K > 1 else {}
-        self.cascades = (attach_cascade_groups(self.modules, mode.k, classes, seed)
-                         if mode.kind in CASCADE_MODES and self.cascade_seed else [])
-        self.plan = {m.index: [Signal("module", m.index, self.heads.get(m.index))] if local else []
-                     for m in self.modules}  # module j -> the signals that read its output
-        if not local:
-            self.plan[K].append(Signal("bp", 1))
-        for group in self.cascades:
-            self.plan[group.last.index].append(
-                Signal("cascade", group.start, group.head, seed=self.cascade_seed))
-        self.pairs = {}
+        def head(name, stream):
+            return AuxHead(name, cfg.width, cfg.classes, named_stream(seed, stream))
+
+        if mode.kind == "bp":
+            signals = [Signal("bp", mods)]
+        else:  # module K's signal reads the classifier
+            signals = [Signal("module", [m], head(f"head{j}", f"init/head/{j}") if j < K else None)
+                       for j, m in enumerate(mods, start=1)]
+        if mode.kind in CASCADE_MODES and self.cascade_seed:
+            k = mode.k
+            check_partition(len(backbone.units), K, k)
+            signals += [Signal("cascade", mods[s - 1:s - 1 + k],
+                               head(f"cascade{s}", f"init/cascade/{s}") if s + k - 1 < K else None,
+                               seed=self.cascade_seed) for s in range(1, K - k + 2)]
         leap_kind = {"lam_only": "module", "mlaan": "cascade"}.get(mode.kind) if mode.p else None
-        for j in range(1, K):
-            for sig in self.plan[j]:
-                if sig.kind == leap_kind:  # p is capped by the units after module j
-                    p = min(mode.p, sum(len(m.units) for m in self.modules[j:]))
-                    sig.pair = self.pairs[j] = build_leap_replicas(self.modules, j, p, mode.r)
-        for group in self.cascades:
-            group.pair = self.pairs.get(group.last.index)
+        for sig in signals:
+            j = sig.last.index
+            if sig.kind == leap_kind and j < K:  # p is capped by the units after module j
+                p = min(mode.p, sum(len(m.units) for m in mods[j:]))
+                sig.pair = build_leap_replicas(mods, j, p, mode.r)
 
+        # views of the one list; plan maps module j to the signals that read its output
+        self.plan = {m.index: [sig for sig in signals if sig.last is m] for m in mods}
+        self.heads = {sig.start: sig.head for sig in signals
+                      if sig.kind == "module" and sig.head is not None}
+        self.cascades = [sig for sig in signals if sig.kind == "cascade"]
+        self.pairs = {sig.last.index: sig.pair for sig in signals if sig.pair is not None}
         params = list(backbone.parameters())
-        for j in sorted(self.heads):
-            params += self.heads[j].parameters()
-        for group in self.cascades:
-            if group.head is not None:
-                params += group.head.parameters()
-        for j in sorted(self.pairs):
-            params += self.pairs[j].parameters()
+        for sig in signals:
+            if sig.head is not None:
+                params += sig.head.parameters()
+        for pair in self.pairs.values():
+            params += pair.parameters()
         self.all_params = params
         self.optimizer = SGDNesterov(params, opt_cfg)
 
@@ -196,8 +209,8 @@ class Trainer:
                 live[j] = (body, feats)
                 for sig in self.plan[j]:
                     losses[sig.kind][sig.start], grad = self._supervise(sig, feats, by)
-                    for i in range(j, sig.start - 1, -1):
-                        tape, out = live[i]
+                    for member in reversed(sig.members):
+                        tape, out = live[member.index]
                         grad = tape.backward(out, grad)
                 h = feats.data
         finally:
@@ -206,8 +219,8 @@ class Trainer:
 
         self.last_accum_counts = {p.name: p.accum_count for p in self.all_params}
         self.optimizer.step(lr_now)
-        for j in sorted(self.pairs):
-            self.pairs[j].ema_step()
+        for pair in self.pairs.values():
+            pair.ema_step()
         final = self.plan[self.K][0]
         return StepReport(losses["module"], losses["cascade"],
                           losses[final.kind][final.start], lr_now, self.meter.step_peak)
@@ -221,7 +234,7 @@ class Trainer:
                 x = Tensor(feats.data, requires_grad=True)
                 if sig.pair is not None:
                     x = sig.pair.apply(x)
-                logits = self.modules[-1].finish(x) if sig.head is None else sig.head(x)
+                logits = sig.last.finish(x) if sig.head is None else sig.head(x)
                 loss = ops.softmax_cross_entropy(logits, by)
                 value = float(loss.data)
                 if not np.isfinite(value):
@@ -233,8 +246,8 @@ class Trainer:
                 g.release()
 
     def _resync_all(self) -> None:
-        for j in sorted(self.pairs):
-            resync_replicas(self.pairs[j])
+        for pair in self.pairs.values():
+            resync_replicas(pair)
 
     # ------------------------------------------------------------------
     # epoch loop

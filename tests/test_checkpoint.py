@@ -1,12 +1,14 @@
 """Binary checkpoint format: round trips, corruption detection, restore."""
 
+import hashlib
+import re
 import struct
 
 import numpy as np
 import pytest
 
 import mlaan
-from mlaan.checkpoint import collect_state
+from mlaan.checkpoint import _pack_entries, collect_state
 from conftest import make_trainer
 
 
@@ -101,16 +103,19 @@ def test_unsupported_version_rejected(tmp_path):
         mlaan.load_checkpoint(str(path))
 
 
+def rewrite_blob(path, blob):
+    """Replace the entry blob of the checkpoint at `path`, with a matching digest."""
+    raw = open(path, "rb").read()
+    header = raw[:4 + struct.calcsize("<IBQII")]
+    open(path, "wb").write(header + hashlib.sha256(blob).hexdigest().encode() + blob)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     tr = trained(steps=1)
     path = str(tmp_path / "tail.mlnn")
     mlaan.save_checkpoint(path, tr, {})
-    raw = open(path, "rb").read()
-    blob_extra = raw[84:] + b"junk"
-    import hashlib
-    digest = hashlib.sha256(blob_extra).hexdigest().encode()
-    open(path, "wb").write(raw[:20] + digest + blob_extra)
-    with pytest.raises(mlaan.CheckpointError, match="trailing"):
+    rewrite_blob(path, _pack_entries(mlaan.load_checkpoint(path).arrays) + b"junk")
+    with pytest.raises(mlaan.CheckpointError, match="4 trailing bytes after entries"):
         mlaan.load_checkpoint(path)
 
 
@@ -133,6 +138,21 @@ def test_restore_rejects_reshaped_param(tmp_path):
     ckpt.arrays[name] = ckpt.arrays[name].reshape(-1)
     fresh = make_trainer("mlaan", K=3, k=2, p=1)
     with pytest.raises(mlaan.CheckpointError, match="expected"):
+        mlaan.restore_into(fresh, ckpt)
+
+
+@pytest.mark.parametrize("name", ["vel/stem.conv.w", "buf/stem.bn.running_mean"])
+def test_restore_rejects_misshapen_state_entry(tmp_path, name):
+    tr = trained(steps=1)
+    path = str(tmp_path / "s.mlnn")
+    mlaan.save_checkpoint(path, tr, {})
+    state = dict(mlaan.load_checkpoint(path).arrays)
+    state[name] = np.ones(1, dtype=state[name].dtype)
+    rewrite_blob(path, _pack_entries(state))
+    ckpt = mlaan.load_checkpoint(path)  # the digest holds
+    fresh = make_trainer("mlaan", K=3, k=2, p=1)
+    with pytest.raises(mlaan.CheckpointError,
+                       match=re.escape(f"{name} is float32(1,), expected float32(")):
         mlaan.restore_into(fresh, ckpt)
 
 

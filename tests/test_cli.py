@@ -195,7 +195,8 @@ def test_eval_on_idx_files(trained_run, tmp_path):
     expected = mlaan.evaluate(trainer.backbone, resize_images(data.test_x, (12, 12), "mean-pool"),
                               data.test_y)
     assert payload["test_error"] == expected["test_error"]
-    assert main(["eval", "--checkpoint", ckpt, "--dataset", "idx:" + paths[0]]) == 1
+    for bad in ("idx:" + paths[0], "cifar10bin:" + paths[0], "imagefolder:" + paths[0]):
+        assert main(["eval", "--checkpoint", ckpt, "--dataset", bad]) == 1
 
 
 def test_build_trainer_leaves_the_default_dtype(tmp_path):

@@ -1,16 +1,17 @@
-"""Backbone construction, partitioning, cascade windows, leap replicas."""
+"""Backbone construction, partitioning, heads and cascade windows, leap replicas."""
 
 import numpy as np
 import pytest
 
 import mlaan.ops as ops
 from mlaan.errors import ConfigError, StateError
-from mlaan.layers import BatchNorm2d, Conv2d, Linear
-from mlaan.network import (attach_cascade_groups, attach_independent_heads, build_backbone,
-                           build_leap_replicas, partition, resync_replicas,
+from mlaan.layers import AuxHead, BatchNorm2d, Conv2d, Linear
+from mlaan.network import (build_backbone, build_leap_replicas, partition, resync_replicas,
                            warmup_batch_stats)
+from mlaan.optim import OptimizerConfig
 from mlaan.rng import named_stream
 from mlaan.tensor import Graph, Tensor
+from mlaan.training import Trainer, TrainerMode
 
 
 def backbone(depth=18, width=4, seed=0, image=8):
@@ -56,50 +57,55 @@ class TestPartition:
         assert flat == list(net.units)
 
 
+def trainer(kind, K, depth, k=3, seed=0, net=None):
+    net = net if net is not None else backbone(depth, seed=seed)
+    return Trainer(net, K, TrainerMode(kind=kind, k=k, p=0), OptimizerConfig(lr=0.1), seed=seed)
+
+
 class TestCascadeGroups:
     def test_k6_k3_enumeration(self):
-        _, modules = partition(backbone(20), 6)  # 18 units, K=6
-        groups = attach_cascade_groups(modules, 3, 10, seed=0)
+        groups = trainer("mlm_only", 6, 20).cascades  # 18 units, K=6
         assert [g.start for g in groups] == [1, 2, 3, 4]
         assert [[m.index for m in g.members] for g in groups] == [
             [1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]]
 
     def test_groups_ending_at_final_module_reuse_classifier(self):
-        _, modules = partition(backbone(20), 6)
-        groups = attach_cascade_groups(modules, 3, 10, seed=0)
+        groups = trainer("mlm_only", 6, 20).cascades
         assert groups[-1].head is None          # ends at module 6 = K
         assert all(g.head is not None for g in groups[:-1])
 
     def test_window_wider_than_partition_rejected(self):
-        _, modules = partition(backbone(20), 4)
-        with pytest.raises(ConfigError):
-            attach_cascade_groups(modules, 5, 10, seed=0)
+        with pytest.raises(ConfigError, match="trainer.k"):
+            trainer("mlm_only", 4, 20, k=5)
 
     def test_window_of_one_rejected(self):
-        _, modules = partition(backbone(20), 4)
-        with pytest.raises(ConfigError):
-            attach_cascade_groups(modules, 1, 10, seed=0)
+        with pytest.raises(ConfigError, match="trainer.k"):
+            trainer("mlm_only", 4, 20, k=1)
 
     def test_k_equals_K_single_group(self):
-        _, modules = partition(backbone(20), 4)
-        groups = attach_cascade_groups(modules, 4, 10, seed=0)
+        groups = trainer("mlm_only", 4, 20, k=4).cascades
         assert len(groups) == 1 and groups[0].head is None
 
 
 class TestIndependentHeads:
     def test_heads_for_all_but_last(self):
-        _, modules = partition(backbone(18), 8)
-        heads = attach_independent_heads(modules, 10, seed=0)
-        assert sorted(heads) == list(range(1, 8))
+        assert sorted(trainer("greedy_local", 8, 18).heads) == list(range(1, 8))
 
     def test_head_init_is_stream_isolated(self):
-        # attaching heads must not perturb backbone init (separate streams)
+        # heads must not perturb backbone init (separate streams), and each
+        # head draws from its own named stream
         a = backbone(10, seed=5)
         b = backbone(10, seed=5)
-        _, modules = partition(b, 4)
-        attach_independent_heads(modules, 10, seed=5)
+        tr = trainer("mlm_only", 4, 10, k=2, seed=5, net=b)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
+        heads = [(h, f"init/head/{j}") for j, h in tr.heads.items()]
+        heads += [(g.head, f"init/cascade/{g.start}") for g in tr.cascades if g.head]
+        assert len(heads) == 3 + 2
+        for head, stream in heads:
+            fresh = AuxHead(head.name, 4, 10, named_stream(5, stream))
+            for got, want in zip(head.parameters(), fresh.parameters()):
+                np.testing.assert_array_equal(got.data, want.data)
 
 
 class TestLeapReplicas:

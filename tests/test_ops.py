@@ -222,6 +222,20 @@ class TestConvGradients:
         dx, dw = out.node.backward_fn(np.ones(out.shape))
         assert dx is None and dw.shape == w.shape
 
+    def test_matmul_input_without_grad_gets_no_dx(self):
+        gen = np.random.default_rng(8)
+        a, w = gen.standard_normal((3, 9, 5)), gen.standard_normal((3, 5, 4))
+        g = gen.standard_normal((3, 9, 4))
+        with Graph("g"):
+            out = ops.matmul(t(a), Parameter("w", w, dtype=np.float64))
+        dx, dw = out.node.backward_fn(g)
+        assert dx is None and same_bits(dw, a.swapaxes(-1, -2) @ g)
+        with Graph("g"):
+            out = ops.matmul(Tensor(a, requires_grad=True),
+                             Parameter("w", w, dtype=np.float64, requires_grad=False))
+        dx, dw = out.node.backward_fn(g)
+        assert same_bits(dx, g @ w.swapaxes(-1, -2)) and dw is None
+
     def test_frozen_weight_gets_no_dw(self):
         gen = np.random.default_rng(6)
         x = gen.standard_normal((2, 3, 4, 4))

@@ -5,6 +5,7 @@ import pytest
 
 import mlaan
 from mlaan import ops
+from mlaan.checkpoint import collect_state
 from mlaan.network import warmup_batch_stats
 from mlaan.tensor import Graph, Tensor
 from mlaan.training import eq10_update, eq11_update
@@ -88,6 +89,37 @@ def test_zero_p_skips_replicas():
 def test_k1_has_no_heads_even_when_local():
     tr = make_trainer("greedy_local", K=1, depth=6)
     assert tr.heads == {}
+
+
+def test_pathway_layout_is_pinned(monkeypatch):
+    """all_params, and so the checkpoint's entries, run backbone, module heads
+    by j, window heads by start, leap pairs by owner; each window in
+    `cascades` is the very signal, modules, head and pair the step runs."""
+    tr = make_trainer("mlaan", K=4, depth=10, k=2, p=1)
+    unit, head = ("conv.w", "bn.gamma", "bn.beta"), ("conv.w", "conv.b", "fc.w", "fc.b")
+    want = [f"{u}.{n}" for u in ["stem"] + [f"unit{i}" for i in range(8)] for n in unit]
+    want += ["classifier.w", "classifier.b"]
+    want += [f"{h}.{n}" for h in ("head1", "head2", "head3", "cascade1", "cascade2") for n in head]
+    want += [f"leap{j}.{twin}0.{n}" for j in (2, 3) for twin in ("phi", "ema") for n in unit]
+    assert [p.name for p in tr.all_params] == want
+    assert [n.removeprefix("param/") for n in collect_state(tr) if n.startswith("param/")] == want
+
+    ran = []
+    supervise = tr._supervise
+    monkeypatch.setattr(tr, "_supervise",
+                        lambda sig, feats, by: (ran.append(sig), supervise(sig, feats, by))[1])
+    tr.step(*small_batch(tr), 0.05)
+    assert [sig.label for sig in ran] == ["module1", "module2", "cascade1", "module3",
+                                          "cascade2", "module4", "cascade3"]
+    windows = [sig for sig in ran if sig.kind == "cascade"]
+    assert len(windows) == len(tr.cascades) == 3
+    for s, (window, sig) in enumerate(zip(tr.cascades, windows), start=1):
+        assert window is sig and any(x is sig for x in tr.plan[s + 1])
+        assert len(sig.members) == 2
+        assert all(a is b for a, b in zip(sig.members, tr.modules[s - 1:s + 1]))
+        assert (sig.head is None) == (s == 3)
+        assert sig.pair is tr.pairs.get(s + 1)
+    assert [sig.head for sig in ran if sig.kind == "module"][:3] == list(tr.heads.values())
 
 
 def test_all_params_are_uniquely_named():
