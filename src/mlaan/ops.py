@@ -2,10 +2,15 @@
 
 Each op computes its forward value with numpy, then (only when a Graph is
 active and some input wants gradients) records a backward closure on the
-tape. Backward closures recompute cheap intermediates from the retained
-inputs instead of caching large scratch buffers, so the tape's retained
-set stays equal to the layer inputs/outputs — the quantity the activation
-meter is supposed to measure.
+tape. A closure captures exactly the arrays its backward reads, and the op
+hands those same arrays to the tape for the activation meter: conv2d its
+input, and only when the kernel wants dW; batch norm its input, μ and 1/σ;
+relu its output (`out > 0` has the bits of `x > 0`); matmul an operand only
+when the other one wants a gradient; the loss its probabilities. The
+additions, the pool and `sum_all` keep shapes only. Backward recomputes
+cheap intermediates from those arrays instead of caching scratch buffers.
+An output no closure reads (a batch norm's, a residual sum) is freed as
+soon as its consumer has run.
 
 Convolution uses the cross-correlation convention (no kernel flip) and works
 channels-last: one copy of the input into kh·kw·C patch rows, then one GEMM.
@@ -96,11 +101,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs [m×n]@[n×p] or [L×m×n]@[L×n×p], "
                          f"got {ad.shape} @ {bd.shape}")
 
-    def backward(g):
-        return (g @ bd.swapaxes(-1, -2) if a.requires_grad else None,
-                ad.swapaxes(-1, -2) @ g if b.requires_grad else None)
+    out = ad @ bd
+    # each operand's gradient reads the other operand
+    ad, bd = (ad if b.requires_grad else None), (bd if a.requires_grad else None)
 
-    return _result("matmul", (a, b), ad @ bd, backward)
+    def backward(g):
+        return (None if bd is None else g @ bd.swapaxes(-1, -2),
+                None if ad is None else ad.swapaxes(-1, -2) @ g)
+
+    return _result("matmul", (a, b), out, backward, (ad, bd))
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
@@ -123,12 +132,12 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    xd = x.data
+    out = np.maximum(x.data, 0)
 
     def backward(g):
-        return (g * (xd > 0),)
+        return (g * (out > 0),)
 
-    return _result("relu", (x,), np.maximum(xd, 0), backward)
+    return _result("relu", (x,), out, backward, (out,))
 
 
 def residual_add(a: Tensor, b: Tensor) -> Tensor:
@@ -142,12 +151,12 @@ def residual_add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    xd = x.data
+    shape, dtype = x.data.shape, x.data.dtype
 
     def backward(g):
-        return (np.full_like(xd, float(g)),)
+        return (np.full(shape, float(g), dtype),)
 
-    return _result("sum_all", (x,), np.asarray(xd.sum(), dtype=xd.dtype), backward)
+    return _result("sum_all", (x,), np.asarray(x.data.sum(), dtype=dtype), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -194,25 +203,28 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     n, c, h, width = xd.shape
     f, _, kh, kw = wd.shape
     ho, wo = _conv_geometry(xd.shape, wd.shape, stride, pad)
-    xt = xd.transpose(0, 2, 3, 1)
-    out = _patches(xt, kh, kw, stride, pad) @ wd.transpose(0, 2, 3, 1).reshape(f, -1).T
+    out = _patches(xd.transpose(0, 2, 3, 1), kh, kw, stride, pad) @ \
+        wd.transpose(0, 2, 3, 1).reshape(f, -1).T
     out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    # dx reads the kernel (a parameter); only dW reads the input
+    need_dx, xd = x.requires_grad, (xd if w.requires_grad else None)
 
     def backward(g):
         gt = g.transpose(0, 2, 3, 1)
         dx = dw = None
-        if x.requires_grad:
+        if need_dx:
             # the forward's transpose: correlate g, dilated by the stride, with
             # the flipped kernel, its in and out channels swapped
             wflip = wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
             dx = (_patches(gt, kh, kw, 1, kh - 1 - pad, stride) @ wflip.T
                   ).reshape(n, h, width, c).transpose(0, 3, 1, 2)
-        if w.requires_grad:
-            dw = (gt.reshape(n * ho * wo, f).T @ _patches(xt, kh, kw, stride, pad)
+        if xd is not None:
+            dw = (gt.reshape(n * ho * wo, f).T @ _patches(xd.transpose(0, 2, 3, 1),
+                                                          kh, kw, stride, pad)
                   ).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         return dx, dw
 
-    return _result("conv2d", (x, w), out, backward)
+    return _result("conv2d", (x, w), out, backward, (xd,))
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +252,15 @@ def batchnorm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
     def backward(g):
         (xv, gv), bcast, back = _channel_layout(xd, g)
         xh = (xv - bcast(mu)) * bcast(inv)
-        dbeta = _channel_sum(g)
-        dgamma = _channel_sum(g, back(xh))
+        dbeta = _channel_sum(g) if beta.requires_grad else None
+        dgamma = _channel_sum(g, back(xh)) if gamma.requires_grad else None
         dxhat = gv * bcast(gamma.data)
         s1 = _channel_sum(back(dxhat))
         s2 = _channel_sum(back(dxhat), back(xh))
         dx = bcast(inv / m) * (m * dxhat - bcast(s1) - xh * bcast(s2))
         return back(dx), dgamma, dbeta
 
-    t = _result("batchnorm2d", (x, gamma, beta), out, backward, cache_arrays=(mu, inv))
+    t = _result("batchnorm2d", (x, gamma, beta), out, backward, cache_arrays=(xd, mu, inv))
     return t, mu, var
 
 
@@ -264,19 +276,21 @@ def batchnorm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     def backward(g):
         xh = (xd - mean[None, :, None, None]) * inv[None, :, None, None]
         dx = g * (gamma.data * inv)[None, :, None, None]
-        return dx, _channel_sum(g, xh), _channel_sum(g)
+        return (dx, _channel_sum(g, xh) if gamma.requires_grad else None,
+                _channel_sum(g) if beta.requires_grad else None)
 
-    return _result("batchnorm2d_eval", (x, gamma, beta), out, backward)
+    # `mean` is the layer's running mean, a buffer rather than an activation
+    return _result("batchnorm2d_eval", (x, gamma, beta), out, backward, cache_arrays=(xd, inv))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"global_avg_pool expects N×C×H×W, got {xd.shape}")
-    n, c, h, w = xd.shape
+    n, c, h, w = shape = xd.shape
 
     def backward(g):
-        return (np.broadcast_to((g / (h * w))[:, :, None, None], xd.shape).copy(),)
+        return (np.broadcast_to((g / (h * w))[:, :, None, None], shape).copy(),)
 
     return _result("global_avg_pool", (x,), _channel_sum(xd, keep="nc") / (h * w), backward)
 

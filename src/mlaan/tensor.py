@@ -9,6 +9,7 @@ upstream gradients are exactly zero by construction, not merely small.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,10 +46,11 @@ class Tensor:
     """Dense n-dimensional array, optionally tracked by the active Graph.
 
     `node` points at the tape record that produced this tensor. Leaves
-    (inputs, parameters, detached values) have `node = None`.
+    (inputs, parameters, detached values) have `node = None`. A record refers
+    to its output weakly, hence the `__weakref__` slot.
     """
 
-    __slots__ = ("data", "requires_grad", "node")
+    __slots__ = ("data", "requires_grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = as_float_array(data, dtype)
@@ -103,15 +105,22 @@ class Parameter(Tensor):
 
 
 class Node:
-    """One operation record on the tape."""
+    """One operation record on the tape. It holds no op output.
+
+    `inputs` names, per op input, where its gradient goes: the `Node` that
+    produced it, a `Parameter`, a leaf `Tensor` that wants a gradient, or
+    None. `output` is a weak reference to the output tensor. `backward_fn`
+    captures exactly the arrays its backward reads, so an activation that no
+    backward reads is freed when its caller drops it.
+    """
 
     __slots__ = ("op", "inputs", "output", "backward_fn", "graph")
 
-    def __init__(self, op: str, inputs: Sequence[Tensor], output: Tensor,
+    def __init__(self, op: str, inputs: tuple, output: "weakref.ref[Tensor]",
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
                  graph: "Graph"):
         self.op = op
-        self.inputs = tuple(inputs)
+        self.inputs = inputs
         self.output = output
         self.backward_fn = backward_fn
         self.graph = graph
@@ -123,9 +132,9 @@ class Graph:
     times, once per loss that reaches it, before `release`.
 
     Nodes are appended in execution order, so the list is topologically
-    sorted by construction. An optional meter is notified when activation
-    buffers are retained for backward and when `release` frees them; only
-    non-parameter buffers count (weights are not activations).
+    sorted by construction. An optional meter is notified of the arrays each
+    op's backward reads (`record`'s `cache_arrays`) and of `release` freeing
+    them; only non-parameter buffers count (weights are not activations).
     """
 
     _stack: list = []
@@ -156,21 +165,23 @@ class Graph:
 
     def record(self, op: str, inputs: Sequence[Tensor], output: Tensor,
                backward_fn, cache_arrays: Sequence[np.ndarray] = ()) -> None:
+        """Append a record of `op`. `cache_arrays` are the arrays `backward_fn`
+        reads (None entries are skipped); the meter counts those that are not
+        parameter values."""
         for t in inputs:
             if t.node is not None and t.node.graph is not self:
                 raise GraphError(
                     f"op {op!r} consumes a tensor recorded on another graph; "
                     "detach values at pathway boundaries")
-        node = Node(op, inputs, output, backward_fn, self)
+        producers = tuple((t.node or t) if t.requires_grad else None for t in inputs)
+        node = Node(op, producers, weakref.ref(output), backward_fn, self)
         output.node = node
         self.nodes.append(node)
         if self.meter is not None:
-            self._retain(output.data)
+            weights = [t.data for t in inputs if isinstance(t, Parameter)]
             for arr in cache_arrays:
-                self._retain(arr)
-            for t in inputs:
-                if not isinstance(t, Parameter):
-                    self._retain(t.data)
+                if arr is not None and not any(arr is w for w in weights):
+                    self._retain(arr)
 
     def _retain(self, arr: np.ndarray) -> None:
         if id(arr) not in self._retained:
@@ -202,29 +213,28 @@ class Graph:
             root = np.full_like(loss.data, seed)
         if loss.node is None:
             return None
+        if loss.node.graph is not self:
+            raise GraphError(f"loss was recorded on tape {loss.node.graph.label!r}; "
+                             f"tape {self.label!r} cannot backward it")
         # a node the loss does not reach never gets an entry in `grads`
-        grads: dict[int, np.ndarray] = {id(loss.node): root}
+        grads: dict[Node, np.ndarray] = {loss.node: root}
         leaf, leaf_grad = None, None
         for node in reversed(self.nodes):
-            out_grad = grads.pop(id(node), None)
+            out_grad = grads.pop(node, None)
             if out_grad is None:
                 continue
             in_grads = node.backward_fn(out_grad)
-            for t, g in zip(node.inputs, in_grads):
-                if g is None or not t.requires_grad:
+            for src, g in zip(node.inputs, in_grads):
+                if g is None or src is None:
                     continue
-                if isinstance(t, Parameter):
-                    t.grad += g
-                    t.accum_count += 1
-                elif t.node is not None:
-                    key = id(t.node)
-                    if key in grads:
-                        grads[key] = grads[key] + g
-                    else:
-                        grads[key] = g
+                if isinstance(src, Node):
+                    grads[src] = grads[src] + g if src in grads else g
+                elif isinstance(src, Parameter):
+                    src.grad += g
+                    src.accum_count += 1
                 elif leaf is None:
-                    leaf, leaf_grad = t, g
-                elif t is leaf:
+                    leaf, leaf_grad = src, g
+                elif src is leaf:
                     leaf_grad = leaf_grad + g
                 else:
                     raise GraphError(f"tape {self.label!r} has more than one "
@@ -234,11 +244,13 @@ class Graph:
     # -- retention ----------------------------------------------------------
 
     def release(self) -> None:
-        """Drop all cached activations; boundary outputs become leaves."""
+        """Drop all cached activations; live outputs become leaves."""
         if self.meter is not None:
             for arr in self._retained.values():
                 self.meter.drop(arr)
             self._retained.clear()
         for node in self.nodes:
-            node.output.node = None
+            out = node.output()
+            if out is not None:
+                out.node = None
         self.nodes.clear()

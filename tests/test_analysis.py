@@ -1,5 +1,8 @@
 """Meter arithmetic, CKA properties, probes, and the metrics recorder."""
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -7,10 +10,10 @@ import mlaan
 from mlaan import ops
 from mlaan.analysis import CSV_HEADER, module_features
 from mlaan.layers import Linear
-from mlaan.network import warmup_batch_stats
+from mlaan.network import partition, warmup_batch_stats
 from mlaan.optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
 from mlaan.rng import named_stream
-from mlaan.tensor import Graph, Tensor
+from mlaan.tensor import Graph, Parameter, Tensor
 from conftest import make_trainer
 
 
@@ -51,16 +54,71 @@ def test_meter_begin_step_resets():
 def test_meter_counts_a_buffer_held_by_two_tapes_once():
     meter = mlaan.ActivationMeter()
     x = mlaan.Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    w = mlaan.Parameter("w", np.ones((3, 3), np.float32))
     with mlaan.Graph("a", meter=meter) as a:
-        y = mlaan.ops.relu(x)                   # a holds x and y
+        y = mlaan.ops.relu(x)                   # a holds y (relu's backward reads it)
     with mlaan.Graph("b", meter=meter) as b:
-        mlaan.ops.relu(mlaan.Tensor(y.data, requires_grad=True))  # b holds y and z
-    assert meter.current_total == 18 and meter.step_peak == 18
+        # b holds y (dW reads it) and z
+        mlaan.ops.relu(mlaan.ops.matmul(mlaan.Tensor(y.data, requires_grad=True), w))
+    assert meter.current_total == 12 and meter.step_peak == 12
     a.release()                                 # y is still held by b
     assert meter.current_total == 12
     assert meter.current == {("a", "main"): 6, ("b", "main"): 6}
     b.release()
     assert meter.current_total == 0 and meter.holders == {}
+
+
+def _memory_root(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _reachable_float_buffers(graph, params):
+    """Memory roots of the float arrays a live tape keeps alive: everything
+    reachable from its records through their producers and backward closures,
+    except the values of `params` (data, grad, velocity) and the tape itself."""
+    weights = {id(_memory_root(a)) for q in params for a in (q.data, q.grad, q.velocity)}
+    found, seen, todo = {}, set(), list(graph.nodes)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (Parameter, Graph, type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            root = _memory_root(obj)
+            if obj.dtype.kind == "f" and id(root) not in weights:
+                found[id(root)] = root
+        elif isinstance(obj, types.FunctionType):  # its captures, not its module
+            todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+        else:
+            todo += gc.get_referents(obj)
+    return found
+
+
+def test_meter_counts_every_buffer_a_tape_keeps_alive():
+    class Recording(mlaan.ActivationMeter):
+        def hold(self, arr, key):
+            self.held.append(arr)
+            super().hold(arr, key)
+
+    net = mlaan.build_backbone(6, 4, 10, (1, 12, 12), seed=2)
+    body = partition(net, 2)[1][1]            # two residual units, no stem
+    assert len(body.units) == 2 and body.stem is None
+    meter = Recording()
+    meter.held = []
+    x = np.random.default_rng(0).standard_normal((4, 4, 12, 12)).astype(np.float32)
+    with Graph("module2", meter=meter) as g:
+        out = body.forward_body(Tensor(x, requires_grad=True), training=True)
+        g.backward(out, np.ones_like(out.data))
+    metered = {id(_memory_root(a)): a for a in meter.held}
+    assert _reachable_float_buffers(g, net.parameters()).keys() == metered.keys()
+    # per unit: conv input, conv output, relu output, μ and 1/σ, the
+    # second unit's conv input being the first unit's relu output
+    assert len(metered) == 9
+    assert meter.current_total == sum(a.size for a in meter.held)
+    g.release()
+    assert meter.current_total == 0
 
 
 def test_meter_report_from_real_step(tiny_data):

@@ -1,11 +1,16 @@
 """Reverse-mode gradient checks against central finite differences,
 plus tape mechanics (accumulation, seeds, frozen parameters)."""
 
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlaan import ops
 from mlaan.errors import GraphError
+from mlaan.layers import ResidualUnit
 from mlaan.optim import finite_diff_check
 from mlaan.tensor import Graph, Parameter, Tensor, set_default_dtype
 
@@ -234,3 +239,53 @@ class TestTapeMechanics:
             h = ops.relu(w)
             with pytest.raises(GraphError):
                 g.backward(h, seed=np.ones(3))
+
+    def test_backward_refuses_a_loss_from_another_tape(self):
+        w = p("w", np.ones(3))
+        with Graph("near"):
+            loss = ops.sum_all(ops.relu(w))
+        with Graph("far") as far:
+            with pytest.raises(GraphError, match="'near'.*'far'"):
+                far.backward(loss)
+        assert not w.grad.any() and w.accum_count == 0
+
+    def test_unit_frees_what_no_backward_reads(self, monkeypatch):
+        # conv -> batch norm -> residual add -> relu. No backward reads the
+        # batch-norm output or the residual sum, so both die when the unit
+        # returns; the input (dW), the conv output (batch norm's backward) and
+        # the relu output (its own mask) stay on the tape.
+        made = []
+        result = ops._result
+
+        def spy(op, inputs, out_data, backward_fn, cache_arrays=()):
+            made.append((op, weakref.ref(out_data)))
+            return result(op, inputs, out_data, backward_fn, cache_arrays)
+
+        monkeypatch.setattr(ops, "_result", spy)
+        gen = np.random.default_rng(4)
+        unit = ResidualUnit("u", 4, gen)
+        x = gen.standard_normal((2, 4, 5, 5))
+        x_alive = weakref.ref(x)
+        with Graph("body") as g:
+            out = unit(Tensor(x), training=True)
+            del x, out
+            alive = {op: ref() is not None for op, ref in made}
+            assert [op for op, _ in made] == ["conv2d", "batchnorm2d", "residual_add", "relu"]
+            assert alive == {"conv2d": True, "batchnorm2d": False,
+                             "residual_add": False, "relu": True}
+            assert x_alive() is not None
+            g.release()
+        assert x_alive() is None and all(ref() is None for _, ref in made)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_relu_output_mask_is_the_input_mask(dtype, data):
+    # relu's backward masks with `out > 0`; it must have the bits of `x > 0`
+    info = np.finfo(dtype)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.smallest_subnormal,
+                         -info.smallest_subnormal, info.tiny / 2, -info.tiny / 2], dtype)
+    drawn = data.draw(st.lists(st.floats(width=info.bits), max_size=64))
+    x = np.concatenate([specials, np.array(drawn, dtype)])
+    assert np.array_equal(np.maximum(x, 0) > 0, x > 0)

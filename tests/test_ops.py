@@ -250,6 +250,33 @@ class TestConvGradients:
         np.testing.assert_allclose(dx, reference_conv(x, w.data, g, 1, 1)[1], rtol=1e-10)
         assert not w.grad.any() and w.accum_count == 0
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_frozen_batchnorm_affine_gets_no_grad(self, mode):
+        # the EMA twins' batch norms: no dgamma/dbeta, and dx as when trainable
+        gen = np.random.default_rng(7)
+        x, g = gen.standard_normal((2, 3, 4, 4)), gen.standard_normal((2, 3, 4, 4))
+        gamma0, beta0 = gen.uniform(0.5, 1.5, 3), gen.standard_normal(3)
+        mean, var = gen.standard_normal(3), gen.uniform(0.5, 2.0, 3)
+
+        def run(trainable):
+            gamma, beta = (Parameter(name, v, dtype=np.float64, requires_grad=trainable)
+                           for name, v in (("gamma", gamma0), ("beta", beta0)))
+            with Graph("g") as graph:
+                xt = Tensor(x, requires_grad=True)
+                out = (ops.batchnorm2d_train(xt, gamma, beta)[0] if mode == "train"
+                       else ops.batchnorm2d_eval(xt, gamma, beta, mean, var))
+                _, dgamma, dbeta = out.node.backward_fn(g)
+                dx = graph.backward(out, g)
+            return dx, dgamma, dbeta, gamma, beta
+
+        dx, dgamma, dbeta, gamma, beta = run(False)
+        assert dgamma is None and dbeta is None
+        for q in (gamma, beta):
+            assert not q.grad.any() and q.accum_count == 0
+        want_dx, want_dgamma, want_dbeta, _, _ = run(True)
+        assert want_dgamma is not None and want_dbeta is not None
+        assert same_bits(dx, want_dx)
+
 
 # ---------------------------------------------------------------------------
 # per-channel ops: the kernels as 4-d numpy expressions, which the ops must
