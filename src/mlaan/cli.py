@@ -153,14 +153,12 @@ def cmd_train(args) -> int:
         start_epoch = ckpt.epoch
         for row in ckpt.sidecar.get("metrics", []):
             recorder.append(**row)
-        wall_offset = recorder.rows[-1]["wall_time_s"] if recorder.rows else 0.0
     else:
         if not args.config:
             raise ConfigError("train needs --config (or --resume)")
         cfg = load_config(args.config)
         trainer = build_trainer(cfg)
         start_epoch = 0
-        wall_offset = 0.0
 
     data = build_dataset(cfg)
     out = _out_dir(args, cfg)
@@ -172,7 +170,6 @@ def cmd_train(args) -> int:
     try:
         recorder = trainer.fit(data, cfg.run.epochs, cfg.run.batch_size,
                                recorder=recorder, start_epoch=start_epoch,
-                               wall_offset=wall_offset,
                                on_epoch_end=checkpoint_each_epoch)
     finally:
         for step, message in trainer.skipped_steps:

@@ -1,10 +1,9 @@
 """Layer objects: thin Parameter containers around the op kernels.
 
-Every layer takes explicit `training` / `update_stats` flags on call rather
-than holding a global mode, because one training step runs layers under
-different batch-norm policies: the module forward updates running stats,
-while leap-replica stacks (copies of later units run on an earlier module's
-features) must not.
+Every layer takes an explicit `training` flag on call rather than holding a
+global mode. Batch-norm layers also take `update_stats`; every training path
+leaves it on, and it exists only for callers that must run a training-mode
+forward without touching running statistics.
 """
 
 from __future__ import annotations

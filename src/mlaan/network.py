@@ -160,9 +160,12 @@ class LeapReplicaPair:
     """Twice-copied later-module units composed onto an earlier module's head path.
 
     phi_prime copies train by gradient and are periodically re-copied from
-    their live sources; phi_double copies only ever move by the EMA rule.
-    The forward stack is all phi_prime units followed by the phi_double
-    twins of the deepest `ema_count` sources.
+    their live sources; phi_double copies only ever move by the EMA rule, and
+    every one of the p twins is EMA-stepped after each optimizer step. The head
+    path runs all p phi_prime units, then the phi_double twins of the deepest
+    `ema_count = ceil(p*j/K)` sources: p + ema_count units in all. Each runs as
+    a plain training-mode unit, so its batch norm updates the copy's own running
+    statistics, which nothing reads, saves or copies.
     """
 
     def __init__(self, owner: int, sources, phi_prime, phi_double, r: float, ema_count: int):
@@ -175,16 +178,9 @@ class LeapReplicaPair:
 
     def apply(self, x: Tensor) -> Tensor:
         h = x
-        for unit in self.phi_prime:
-            h = unit(h, training=True, update_stats=False)
-        for unit in self.ema_stack():
-            h = unit(h, training=True, update_stats=False)
+        for unit in self.phi_prime + self.phi_double[len(self.phi_double) - self.ema_count:]:
+            h = unit(h, training=True)
         return h
-
-    def ema_stack(self):
-        if self.ema_count == 0:
-            return []
-        return self.phi_double[len(self.phi_double) - self.ema_count:]
 
     def ema_step(self) -> None:
         r = self.r
@@ -222,7 +218,9 @@ def build_leap_replicas(modules, j: int, p: int, r: float) -> LeapReplicaPair:
     """Copy p source units from modules j+1..K, twice each (phi', phi'').
 
     Sources sit at the fractional depths 0.1/0.5/0.9 (cycled) of the
-    remaining network. The EMA-substituted suffix length is ceil(p*j/K).
+    remaining network. The head path runs all p phi' copies, then the phi''
+    twins of the deepest ema_count = ceil(p*j/K) sources; all p twins are
+    EMA-stepped.
     """
     K = len(modules)
     if not 1 <= j < K:

@@ -99,20 +99,14 @@ class Signal:
         return "bp" if self.kind == "bp" else f"{self.kind}{self.start}"
 
 
-def _leap_combined_update(theta, lam, grad, eta: float, r: float):
-    """theta - r*lam - (2-r)*eta*grad, the shared arithmetic for both
-    spellings of the combined leap update. Keeping one canonical expression
-    is what makes the two entry points bitwise-identical; the expanded
-    two-term spelling is algebraically equal but not floating-point equal."""
+def eq10_update(theta, lam, grad, eta: float, r: float):
+    """The paper's combined leap update, theta - r*lam - (2-r)*eta*grad, under
+    both its equation names (Eq. 10 and Eq. 11). No training path calls it: the
+    trainer moves the phi'' twins by the plain EMA in `LeapReplicaPair.ema_step`."""
     return theta - r * lam - (2.0 - r) * eta * grad
 
 
-def eq10_update(theta, lam, grad, eta: float, r: float):
-    return _leap_combined_update(theta, lam, grad, eta, r)
-
-
-def eq11_update(theta, lam, grad, eta: float, r: float):
-    return _leap_combined_update(theta, lam, grad, eta, r)
+eq11_update = eq10_update
 
 
 def evaluate(backbone: Backbone, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> dict:
@@ -140,7 +134,7 @@ class Trainer:
         self.mode = mode
         self.opt_cfg = opt_cfg
         self.seed = seed
-        self.sizes, self.modules = partition(backbone, K)
+        _, self.modules = partition(backbone, K)
         self.K = K
         self.cascade_seed = opt_cfg.cascade_scale()
         mods, cfg = self.modules, backbone.cfg
@@ -193,6 +187,9 @@ class Trainer:
 
     def step(self, bx: np.ndarray, by: np.ndarray, lr_now: float) -> StepReport:
         self.meter.begin_step()
+        # restored if the step diverges: its forwards may have folded NaN batch statistics in
+        saved = [(bn, bn.running_mean.copy(), bn.running_var.copy(), bn.initialized)
+                 for bn in self.backbone.batchnorms()]
         losses = {"module": {}, "cascade": {}, "bp": {}}
         live = {}  # module index -> (body tape, features) while a signal needs it
         h = bx
@@ -213,6 +210,13 @@ class Trainer:
                         tape, out = live[member.index]
                         grad = tape.backward(out, grad)
                 h = feats.data
+        except TrainingDiverged:
+            for bn, mean, var, initialized in saved:
+                bn.running_mean[...] = mean
+                bn.running_var[...] = var
+                bn.initialized = initialized
+            self.optimizer.zero_grad()
+            raise
         finally:
             for tape, _ in live.values():
                 tape.release()
@@ -238,7 +242,6 @@ class Trainer:
                 loss = ops.softmax_cross_entropy(logits, by)
                 value = float(loss.data)
                 if not np.isfinite(value):
-                    self.optimizer.zero_grad()
                     raise TrainingDiverged(f"non-finite {sig.label} loss ({value}) "
                                            f"at optimizer step {self.step_index}")
                 return value, g.backward(loss, sig.seed)
@@ -255,16 +258,18 @@ class Trainer:
 
     def fit(self, data, epochs: int, batch_size: int,
             recorder: Optional[MetricsRecorder] = None,
-            start_epoch: int = 0, wall_offset: float = 0.0,
-            on_epoch_end=None) -> MetricsRecorder:
+            start_epoch: int = 0, on_epoch_end=None) -> MetricsRecorder:
         recorder = recorder if recorder is not None else MetricsRecorder()
         if epochs == 0:
             return recorder
+        if batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
         n = len(data.train_x)
         if n < 2:
             raise DataError("need at least 2 training samples")
         steps_per_epoch = max(1, n // batch_size)
         total_steps = epochs * steps_per_epoch
+        wall_offset = recorder.rows[-1]["wall_time_s"] if recorder.rows else 0.0
         t0 = time.perf_counter()
         diverged_streak = 0
         for epoch in range(start_epoch, epochs):
@@ -279,8 +284,6 @@ class Trainer:
                         and self.step_index % self.mode.sync_period == 0):
                     self._resync_all()
                 idx = perm[b * batch_size:(b + 1) * batch_size]
-                if len(idx) < 2:
-                    idx = perm[:max(2, len(perm))]
                 lr_now = cosine_annealing_lr(
                     self.step_index, self.opt_cfg.lr, self.opt_cfg.min_lr, total_steps)
                 try:

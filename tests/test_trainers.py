@@ -184,6 +184,25 @@ def test_nonfinite_input_aborts_and_clears_grads():
         assert not np.any(p.grad)
 
 
+@pytest.mark.parametrize("good_steps", [0, 1])
+def test_diverged_step_leaves_batchnorm_statistics(good_steps, tiny_data):
+    tr = make_trainer("mlaan", K=3, k=2, p=1)
+    bx, by = small_batch(tr)
+    for _ in range(good_steps):
+        tr.step(bx, by, 0.05)
+    before = [(bn.running_mean.tobytes(), bn.running_var.tobytes(), bn.initialized)
+              for bn in tr.backbone.batchnorms()]
+    bx[0, 0, 0, 0] = np.nan
+    with pytest.raises(mlaan.TrainingDiverged):
+        tr.step(bx, by, 0.05)
+    after = [(bn.running_mean.tobytes(), bn.running_var.tobytes(), bn.initialized)
+             for bn in tr.backbone.batchnorms()]
+    assert after == before
+    if good_steps:
+        logits = tr.backbone.forward(Tensor(tiny_data.test_x), training=False).data
+        assert np.all(np.isfinite(logits))
+
+
 def reforward_reference(tr, bx, by):
     """Accumulate one step's gradients the long way: for bp, the whole
     network on one tape; otherwise each module pathway on one tape, then
@@ -331,19 +350,29 @@ def test_fit_requires_two_samples(tiny_data):
         tr.fit(lonely, epochs=1, batch_size=16)
 
 
+@pytest.mark.parametrize("batch_size", [0, 1])
+def test_fit_rejects_batches_below_two(batch_size, tiny_data):
+    tr = make_trainer("bp")
+    with pytest.raises(mlaan.ConfigError):
+        tr.fit(tiny_data, epochs=1, batch_size=batch_size)
+    assert tr.step_index == 0
+
+
+def test_resumed_fit_continues_the_wall_clock(tiny_data):
+    tr = make_trainer("greedy_local", K=2, depth=6)
+    rec = mlaan.MetricsRecorder()
+    rec.append(1, 2.0, 0.9, 0.1, 100, 1000.0)  # a restored row from a long first epoch
+    tr.fit(tiny_data, epochs=2, batch_size=16, recorder=rec, start_epoch=1)
+    assert [row["epoch"] for row in rec.rows] == [1, 2]
+    assert rec.rows[1]["wall_time_s"] >= rec.rows[0]["wall_time_s"]
+
+
 # ---------------------------------------------------------------------------
 # the combined leap update
 # ---------------------------------------------------------------------------
 
 def test_both_update_spellings_are_the_same_function():
-    gen = np.random.default_rng(11)
-    for _ in range(50):
-        theta = gen.standard_normal(7)
-        lam = gen.standard_normal(7)
-        grad = gen.standard_normal(7)
-        a = eq10_update(theta, lam, grad, 0.05, 0.99)
-        b = eq11_update(theta, lam, grad, 0.05, 0.99)
-        assert np.array_equal(a, b)
+    assert eq11_update is eq10_update
 
 
 def test_combined_update_value():
@@ -409,6 +438,38 @@ def test_resync_copies_live_weights_into_primes():
     tr._resync_all()  # idempotent once freshly synced
     again = [p.data for u in pair.phi_prime for p in u.parameters()]
     assert all(np.array_equal(a, b) for a, b in zip(snap, again))
+
+
+@pytest.mark.parametrize("kind", ["mlaan", "lam_only"])
+def test_replica_batchnorm_statistics_are_write_only(kind, tiny_data):
+    """Poisoned replica running statistics change nothing a step computes: the
+    replicas run in training mode only, and neither checkpoints nor resyncs
+    carry their statistics."""
+    def train(poison):
+        tr = make_trainer(kind, K=3, k=2, p=2, sync_period=3)
+        units = [u for pair in tr.pairs.values() for u in pair.phi_prime + pair.phi_double]
+        for unit in units if poison else []:
+            unit.bn.running_mean[...] = np.nan
+            unit.bn.running_var[...] = np.nan
+            unit.bn.initialized = False
+        rec = tr.fit(tiny_data, epochs=1, batch_size=10)
+        return tr, rec
+
+    clean, clean_rec = train(poison=False)
+    poisoned, poisoned_rec = train(poison=True)
+    assert poisoned.step_index == 8  # resyncs before steps 3 and 6
+    want = collect_state(clean)
+    got = collect_state(poisoned)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert poisoned.last_accum_counts == clean.last_accum_counts
+    assert ([{**r, "wall_time_s": 0} for r in poisoned_rec.rows]
+            == [{**r, "wall_time_s": 0} for r in clean_rec.rows])
+    # the units the head path runs wrote fresh statistics of their own
+    for pair in poisoned.pairs.values():
+        for unit in pair.phi_prime + pair.phi_double[len(pair.phi_double) - pair.ema_count:]:
+            assert unit.bn.initialized and np.all(np.isfinite(unit.bn.running_mean))
 
 
 # ---------------------------------------------------------------------------
