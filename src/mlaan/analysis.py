@@ -89,7 +89,7 @@ def meter_peak_activations(trainer, bx: np.ndarray, by: np.ndarray,
     for (label, _), peak in sorted(meter.peak_by_key.items()):
         per_module[label] = max(per_module.get(label, 0), peak)
     return MemoryReport(
-        mode=trainer.mode.kind,
+        mode=trainer.mode.mode,
         peak_elements=meter.step_peak,
         main_peak=meter.section_peak.get("main", 0),
         aux_peak=meter.section_peak.get("aux", 0),

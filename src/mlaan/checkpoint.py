@@ -89,6 +89,7 @@ def save_checkpoint(path: str, trainer, config_dict: dict, recorder=None,
         "epoch": epoch,
         "rng": {"shuffle": generator_state(trainer.shuffle_gen)},
         "metrics": recorder.rows if recorder is not None else [],
+        "skipped_steps": trainer.skipped_steps,
     }
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     # temp files renamed over the targets, blob first: a save cut short keeps the old one
@@ -171,7 +172,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     sidecar = None
     if os.path.exists(path + ".json"):
         with open(path + ".json") as fh:
-            sidecar = json.load(fh)
+            try:
+                sidecar = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CheckpointError(f"{path}.json: not valid JSON: {exc}")
+        if not isinstance(sidecar, dict):
+            raise CheckpointError(f"{path}.json: the sidecar is not a JSON object")
+        # the two files are renamed one after the other; a save cut between leaves a stale sidecar
+        if (sidecar.get("epoch"), sidecar.get("step")) != (epoch, step):
+            raise CheckpointError(
+                f"{path}: the checkpoint is from epoch {epoch} (step {step}) but its sidecar "
+                f"is from epoch {sidecar.get('epoch')} (step {sidecar.get('step')})")
     return Checkpoint(path, version, _PRECISION_NAMES[precision], step, epoch,
                       arrays, sidecar)
 
@@ -196,3 +207,5 @@ def restore_into(trainer, ckpt: Checkpoint) -> None:
     if ckpt.sidecar and "rng" in ckpt.sidecar:
         from .rng import restore_generator
         trainer.shuffle_gen = restore_generator(ckpt.sidecar["rng"]["shuffle"])
+    if ckpt.sidecar:
+        trainer.skipped_steps = [tuple(s) for s in ckpt.sidecar.get("skipped_steps", [])]

@@ -77,7 +77,7 @@ def build_trainer(cfg: ExperimentConfig) -> Trainer:
     set_default_dtype(cfg.run.precision)
     try:
         return Trainer(Backbone(cfg.backbone, cfg.run.seed), cfg.partition.K,
-                       cfg.trainer.build(), cfg.optimizer, cfg.run.seed)
+                       cfg.trainer, cfg.optimizer, cfg.run.seed)
     finally:
         set_default_dtype(previous)
 

@@ -1,6 +1,8 @@
-"""Experiment configuration: a JSON file with six sections, strict key
+"""Experiment configuration: a JSON file with seven sections, strict key
 checking, and defaults chosen for the desk-scale setup.
 
+Each section is a dataclass that checks its own values when built;
+`ExperimentConfig.validate` adds the rules that span sections.
 `run.seed` is deliberately required — every run states its seed.
 """
 
@@ -70,26 +72,21 @@ class PartitionSection:
 
 
 @dataclass
-class TrainerSection:
-    mode: str = "mlaan"
-    k: int = 3
-    p: int = 2
-    r: float = 0.99
-    mlaan_rule: str = "ema_teacher"
-    sync_period: int = 0
-
-    def build(self) -> TrainerMode:
-        """The trainer mode this section describes; TrainerMode checks the values."""
-        return TrainerMode(kind=self.mode, k=self.k, p=self.p, r=self.r,
-                           mlaan_rule=self.mlaan_rule, sync_period=self.sync_period)
-
-
-@dataclass
 class RunSection:
     epochs: int = 40
     batch_size: int = 64
     seed: Optional[int] = None
     precision: str = "float32"
+
+    def __post_init__(self):
+        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
+            raise ConfigError(f"run.seed must be a non-negative integer, got {self.seed!r}")
+        if self.precision not in PRECISIONS:
+            raise ConfigError(f"run.precision must be one of {PRECISIONS}, got {self.precision!r}")
+        if self.epochs < 0:
+            raise ConfigError(f"run.epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 2:
+            raise ConfigError(f"run.batch_size must be >= 2, got {self.batch_size}")
 
 
 @dataclass
@@ -123,27 +120,17 @@ class OutputSection:
 class ExperimentConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     partition: PartitionSection = field(default_factory=PartitionSection)
-    trainer: TrainerSection = field(default_factory=TrainerSection)
+    trainer: TrainerMode = field(default_factory=TrainerMode)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     run: RunSection = field(default_factory=RunSection)
     dataset: DatasetSection = field(default_factory=DatasetSection)
     output: OutputSection = field(default_factory=OutputSection)
 
     def validate(self) -> "ExperimentConfig":
-        t, r = self.trainer, self.run
-        if r.seed is None:
+        if self.run.seed is None:
             raise ConfigError("run.seed is required")
-        if not isinstance(r.seed, int) or r.seed < 0:
-            raise ConfigError(f"run.seed must be a non-negative integer, got {r.seed!r}")
-        if r.precision not in PRECISIONS:
-            raise ConfigError(f"run.precision must be one of {PRECISIONS}, got {r.precision!r}")
-        if r.epochs < 0:
-            raise ConfigError(f"run.epochs must be >= 0, got {r.epochs}")
-        if r.batch_size < 2:
-            raise ConfigError(f"run.batch_size must be >= 2, got {r.batch_size}")
-        t.build()
         check_partition(self.backbone.depth - 2, self.partition.K,
-                        t.k if t.mode in CASCADE_MODES else None)
+                        self.trainer.k if self.trainer.mode in CASCADE_MODES else None)
         return self
 
     def out_dir(self) -> str:
@@ -159,7 +146,7 @@ class ExperimentConfig:
 
 
 _SECTIONS = {"backbone": BackboneConfig, "partition": PartitionSection,
-             "trainer": TrainerSection, "optimizer": OptimizerConfig, "run": RunSection,
+             "trainer": TrainerMode, "optimizer": OptimizerConfig, "run": RunSection,
              "dataset": DatasetSection, "output": OutputSection}
 # each section's field types, resolved from the annotations once, at import
 _FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import ops
 from .errors import StateError
-from .tensor import Parameter, Tensor, get_default_dtype
+from .tensor import Parameter, Tensor
 
 
 def kaiming_normal(gen: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -56,7 +56,7 @@ class BatchNorm2d:
         self.momentum = momentum
         self.gamma = Parameter(f"{name}.gamma", np.ones(channels))
         self.beta = Parameter(f"{name}.beta", np.zeros(channels))
-        dt = get_default_dtype()
+        dt = self.gamma.data.dtype
         self.running_mean = np.zeros(channels, dtype=dt)
         self.running_var = np.ones(channels, dtype=dt)
         self.initialized = False

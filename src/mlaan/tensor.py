@@ -111,12 +111,11 @@ class Node:
     backward reads is freed when its caller drops it.
     """
 
-    __slots__ = ("op", "inputs", "output", "backward_fn", "graph")
+    __slots__ = ("inputs", "output", "backward_fn", "graph")
 
-    def __init__(self, op: str, inputs: tuple, output: "weakref.ref[Tensor]",
+    def __init__(self, inputs: tuple, output: "weakref.ref[Tensor]",
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
                  graph: "Graph"):
-        self.op = op
         self.inputs = inputs
         self.output = output
         self.backward_fn = backward_fn
@@ -171,7 +170,7 @@ class Graph:
                     f"op {op!r} consumes a tensor recorded on another graph; "
                     "detach values at pathway boundaries")
         producers = tuple((t.node or t) if t.requires_grad else None for t in inputs)
-        node = Node(op, producers, weakref.ref(output), backward_fn, self)
+        node = Node(producers, weakref.ref(output), backward_fn, self)
         output.node = node
         self.nodes.append(node)
         if self.meter is not None:

@@ -45,7 +45,8 @@ MLAAN_RULES = ("ema_teacher",)
 
 @dataclass
 class TrainerMode:
-    kind: str = "mlaan"
+    """The config's `trainer` section: the training rule and its settings."""
+    mode: str = "mlaan"
     k: int = 3
     p: int = 2
     r: float = 0.99
@@ -53,8 +54,8 @@ class TrainerMode:
     sync_period: int = 0  # 0: every epoch, -1: never, n>0: every n optimizer steps
 
     def __post_init__(self):
-        if self.kind not in MODES:
-            raise ConfigError(f"trainer.mode must be one of {MODES}, got {self.kind!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"trainer.mode must be one of {MODES}, got {self.mode!r}")
         if self.mlaan_rule not in MLAAN_RULES:
             raise ConfigError(f"trainer.mlaan_rule must be one of {MLAAN_RULES}, "
                               f"got {self.mlaan_rule!r}")
@@ -71,7 +72,6 @@ class StepReport:
     independent: dict
     cascaded: dict
     final_loss: float
-    lr_now: float
     peak_elements: int
 
 
@@ -133,7 +133,6 @@ class Trainer:
         self.backbone = backbone
         self.mode = mode
         self.opt_cfg = opt_cfg
-        self.seed = seed
         _, self.modules = partition(backbone, K)
         self.K = K
         self.cascade_seed = opt_cfg.cascade_scale()
@@ -142,18 +141,18 @@ class Trainer:
         def head(name, stream):
             return AuxHead(name, cfg.width, cfg.classes, named_stream(seed, stream))
 
-        if mode.kind == "bp":
+        if mode.mode == "bp":
             signals = [Signal("bp", mods)]
         else:  # module K's signal reads the classifier
             signals = [Signal("module", [m], head(f"head{j}", f"init/head/{j}") if j < K else None)
                        for j, m in enumerate(mods, start=1)]
-        if mode.kind in CASCADE_MODES and self.cascade_seed:
+        if mode.mode in CASCADE_MODES and self.cascade_seed:
             k = mode.k
             check_partition(len(backbone.units), K, k)
             signals += [Signal("cascade", mods[s - 1:s - 1 + k],
                                head(f"cascade{s}", f"init/cascade/{s}") if s + k - 1 < K else None,
                                seed=self.cascade_seed) for s in range(1, K - k + 2)]
-        leap_kind = {"lam_only": "module", "mlaan": "cascade"}.get(mode.kind) if mode.p else None
+        leap_kind = {"lam_only": "module", "mlaan": "cascade"}.get(mode.mode) if mode.p else None
         for sig in signals:
             j = sig.last.index
             if sig.kind == leap_kind and j < K:  # p is capped by the units after module j
@@ -227,7 +226,7 @@ class Trainer:
             pair.ema_step()
         final = self.plan[self.K][0]
         return StepReport(losses["module"], losses["cascade"],
-                          losses[final.kind][final.start], lr_now, self.meter.step_peak)
+                          losses[final.kind][final.start], self.meter.step_peak)
 
     def _supervise(self, sig: Signal, feats: Tensor, by):
         """Run `sig` on its own tape over a leaf copy of `feats`; backward its loss

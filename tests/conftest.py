@@ -21,7 +21,7 @@ def tiny_data():
 def make_trainer(kind="mlaan", K=3, depth=8, width=4, seed=9, k=2, p=1, r=0.9,
                  lr=0.1, image=12, classes=10, **kw):
     net = mlaan.build_backbone(depth, width, classes, (1, image, image), seed=seed)
-    mode = mlaan.TrainerMode(kind=kind, k=k, p=p, r=r, **kw)
+    mode = mlaan.TrainerMode(mode=kind, k=k, p=p, r=r, **kw)
     return mlaan.Trainer(net, K, mode, mlaan.OptimizerConfig(lr=lr), seed=seed)
 
 

@@ -26,7 +26,7 @@ def _verdict(n, ok, detail):
 def _trainer(kind, K, depth, width=4, image=12, classes=10, seed=0, lr=0.1,
              lr_c=None, k=3, p=1, r=0.99, rule="ema_teacher", sync=0):
     net = mlaan.build_backbone(depth, width, classes, (1, image, image), seed=seed)
-    mode = mlaan.TrainerMode(kind=kind, k=k, p=p, r=r, mlaan_rule=rule,
+    mode = mlaan.TrainerMode(mode=kind, k=k, p=p, r=r, mlaan_rule=rule,
                              sync_period=sync)
     return mlaan.Trainer(net, K, mode,
                          mlaan.OptimizerConfig(lr=lr, lr_cascaded=lr_c), seed=seed)
@@ -146,7 +146,7 @@ def _pathway_params(trainer):
         ids = {id(p) for p in m.parameters()}
         if m.index in trainer.heads:
             ids |= {id(p) for p in trainer.heads[m.index].parameters()}
-        if trainer.mode.kind == "lam_only" and m.index in trainer.pairs:
+        if trainer.mode.mode == "lam_only" and m.index in trainer.pairs:
             ids |= {id(p) for p in trainer.pairs[m.index].parameters()}
         allowed[f"module{m.index}"] = ids
     for group in trainer.cascades:
@@ -212,7 +212,7 @@ def test_criterion_03_reduction_identities():
 
     # (b) cascade rate 0 + p=0 mlaan is greedy_local, bitwise, 10 steps
     net_m = mlaan.build_backbone(10, 4, 10, (1, 12, 12), seed=3)
-    m = mlaan.Trainer(net_m, 4, mlaan.TrainerMode(kind="mlaan", k=3, p=0),
+    m = mlaan.Trainer(net_m, 4, mlaan.TrainerMode(mode="mlaan", k=3, p=0),
                       mlaan.OptimizerConfig(lr=0.1, lr_cascaded=0.0), seed=3)
     g = _trainer("greedy_local", K=4, depth=10, seed=3)
     for (bx, by), (cx, cy) in zip(_batches(m, 10, seed=6), _batches(g, 10, seed=6)):
@@ -340,7 +340,7 @@ def desk_experiment():
                                        DESK["classes"],
                                        (1, DESK["image"], DESK["image"]),
                                        seed=seed)
-            mode = mlaan.TrainerMode(kind=kind, k=DESK["k"], p=DESK["p"],
+            mode = mlaan.TrainerMode(mode=kind, k=DESK["k"], p=DESK["p"],
                                      r=DESK["r"], sync_period=DESK["sync"])
             tr = mlaan.Trainer(net, DESK["K"], mode,
                                mlaan.OptimizerConfig(lr=DESK["lr"],

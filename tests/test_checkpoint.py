@@ -177,3 +177,15 @@ def test_save_into_nested_directory(tmp_path):
     path = str(tmp_path / "deep" / "run" / "x.mlnn")
     mlaan.save_checkpoint(path, tr, {})
     assert mlaan.load_checkpoint(path).step == 1
+
+
+@pytest.mark.parametrize("text,fragment", [('{"config": ', "not valid JSON"),
+                                           ("[1]", "not a JSON object")])
+def test_malformed_sidecar_rejected(tmp_path, text, fragment):
+    tr = trained(steps=1)
+    path = str(tmp_path / "c.mlnn")
+    mlaan.save_checkpoint(path, tr, {})
+    with open(path + ".json", "w") as fh:
+        fh.write(text)
+    with pytest.raises(mlaan.CheckpointError, match=fragment):
+        mlaan.load_checkpoint(path)

@@ -108,12 +108,35 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch, cut):
     assert [r["epoch"] for r in rec.rows] == [1, 2]
 
 
+def test_save_cut_between_renames_is_refused(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, run={"epochs": 2, "seed": 0, "batch_size": 16})
+    ckpt_path = str(tmp_path / "out" / "checkpoint.mlnn")
+    real_replace, sidecars = os.replace, []
+
+    def fail_second_sidecar(src, dst):
+        if dst == ckpt_path + ".json":
+            sidecars.append(dst)
+            if len(sidecars) == 2:
+                raise OSError("injected: power cut")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(mlaan.checkpoint.os, "replace", fail_second_sidecar)
+    assert main(["train", "--config", cfg_path]) == 2
+    monkeypatch.undo()
+    capsys.readouterr()
+    # epoch 2's blob is in place next to epoch 1's sidecar
+    with pytest.raises(mlaan.CheckpointError, match=r"epoch 2 \(step 6\).*epoch 1 \(step 3\)"):
+        mlaan.load_checkpoint(ckpt_path)
+    assert main(["train", "--resume", ckpt_path]) == 1
+    assert "sidecar is from epoch 1" in capsys.readouterr().err
+
+
 def test_train_reports_each_skipped_step(tmp_path, monkeypatch, capsys):
     real, calls = mlaan.Trainer.step, []
 
     def flaky(self, bx, by, lr_now):
         calls.append(1)
-        if len(calls) in (1, 3):
+        if len(calls) in (1, 3, 7):
             raise mlaan.TrainingDiverged(f"injected at call {len(calls)}")
         return real(self, bx, by, lr_now)
 
@@ -122,6 +145,30 @@ def test_train_reports_each_skipped_step(tmp_path, monkeypatch, capsys):
     assert main(["train", "--config", cfg_path]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == ["skipped step 0: injected at call 1", "skipped step 2: injected at call 3"]
+
+    # a two-epoch run cut short after epoch 1's checkpoint, then resumed: the
+    # resumed run lists the skips saved with that checkpoint, then its own
+    real_save = mlaan.checkpoint.save_checkpoint
+
+    def cut_at_epoch_two(path, trainer, config_dict, recorder, epoch):
+        if epoch == 2:
+            raise mlaan.MlaanError("injected: power cut")
+        real_save(path, trainer, config_dict, recorder, epoch)
+
+    monkeypatch.setattr(mlaan.checkpoint, "save_checkpoint", cut_at_epoch_two)
+    calls.clear()
+    cfg_path = write_config(tmp_path, run={"epochs": 2, "seed": 0, "batch_size": 8})
+    assert main(["train", "--config", cfg_path]) == 2
+    capsys.readouterr()
+    monkeypatch.setattr(mlaan.checkpoint, "save_checkpoint", real_save)
+    ckpt_path = str(tmp_path / "out" / "checkpoint.mlnn")
+    steps = mlaan.load_checkpoint(ckpt_path).step
+    assert steps == 6
+    calls[:] = [1] * steps  # the resumed run's first step is call 7
+    assert main(["train", "--resume", ckpt_path]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["skipped step 0: injected at call 1", "skipped step 2: injected at call 3",
+                   "skipped step 6: injected at call 7"]
 
 
 def test_resume_without_sidecar_exits_one(trained_run, capsys):

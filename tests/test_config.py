@@ -7,7 +7,7 @@ import pytest
 
 import mlaan
 from mlaan.cli import build_trainer
-from mlaan.config import DATASET_KINDS
+from mlaan.config import _SECTIONS, DATASET_KINDS, RunSection
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -86,6 +86,24 @@ def test_unknown_keys_are_named_precisely():
 def test_validation_rejections(patch, fragment):
     with pytest.raises(mlaan.ConfigError, match=fragment):
         mlaan.config_from_dict(minimal(**patch))
+
+
+@pytest.mark.parametrize("values,fragment", [
+    ({"batch_size": 1}, "run.batch_size"),
+    ({"epochs": -1}, "run.epochs"),
+    ({"seed": -1}, "run.seed"),
+    ({"precision": "float16"}, "run.precision"),
+])
+def test_run_section_checks_itself(values, fragment):
+    with pytest.raises(mlaan.ConfigError, match=fragment):
+        RunSection(**values)
+
+
+def test_trainer_section_is_the_trainer_mode():
+    cfg = mlaan.config_from_dict(minimal(trainer={"mode": "lam_only", "p": 1}))
+    assert _SECTIONS["trainer"] is mlaan.TrainerMode
+    assert cfg.trainer == mlaan.TrainerMode(mode="lam_only", p=1)
+    assert list(cfg.to_dict()["trainer"]) == ["mode", "k", "p", "r", "mlaan_rule", "sync_period"]
 
 
 def test_float_fields_accept_integers_and_optional_fields_accept_null():

@@ -59,7 +59,7 @@ class TestPartition:
 
 def trainer(kind, K, depth, k=3, seed=0, net=None):
     net = net if net is not None else backbone(depth, seed=seed)
-    return Trainer(net, K, TrainerMode(kind=kind, k=k, p=0), OptimizerConfig(lr=0.1), seed=seed)
+    return Trainer(net, K, TrainerMode(mode=kind, k=k, p=0), OptimizerConfig(lr=0.1), seed=seed)
 
 
 class TestCascadeGroups:

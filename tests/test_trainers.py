@@ -74,7 +74,7 @@ def test_mlaan_pairs_sit_on_cascaded_heads_only():
 
 def test_zero_cascade_rate_skips_cascade_machinery():
     net = mlaan.build_backbone(8, 4, 10, (1, 12, 12), seed=9)
-    tr = mlaan.Trainer(net, 3, mlaan.TrainerMode(kind="mlaan", k=2, p=0),
+    tr = mlaan.Trainer(net, 3, mlaan.TrainerMode(mode="mlaan", k=2, p=0),
                        mlaan.OptimizerConfig(lr=0.1, lr_cascaded=0.0), seed=9)
     assert tr.cascades == [] and tr.pairs == {}
     assert tr.cascade_seed == 0.0
@@ -133,8 +133,8 @@ def test_all_params_are_uniquely_named():
 # ---------------------------------------------------------------------------
 
 def test_unknown_mode_rejected():
-    with pytest.raises(mlaan.ConfigError):
-        mlaan.TrainerMode(kind="semi_local")
+    with pytest.raises(mlaan.ConfigError, match="trainer.mode"):
+        mlaan.TrainerMode(mode="semi_local")
 
 
 def test_unknown_combine_rule_rejected():
@@ -208,7 +208,7 @@ def reforward_reference(tr, bx, by):
     network on one tape; otherwise each module pathway on one tape, then
     each cascade window forwarded again through its members on one tape,
     leaving batch-norm statistics alone."""
-    if tr.mode.kind == "bp":
+    if tr.mode.mode == "bp":
         with Graph("bp") as g:
             logits = tr.backbone.forward(Tensor(bx), training=True)
             g.backward(ops.softmax_cross_entropy(logits, by))
@@ -221,7 +221,7 @@ def reforward_reference(tr, bx, by):
                 logits = m.finish(feats)
             else:
                 h = feats
-                if tr.mode.kind == "lam_only" and m.index in tr.pairs:
+                if tr.mode.mode == "lam_only" and m.index in tr.pairs:
                     h = tr.pairs[m.index].apply(h)
                 logits = tr.heads[m.index](h)
             g.backward(ops.softmax_cross_entropy(logits, by))
@@ -528,6 +528,6 @@ def test_cascade_rate_scales_relative_to_local_rate():
     cfg = mlaan.OptimizerConfig(lr=0.2, lr_cascaded=0.05)
     assert cfg.cascade_scale() == pytest.approx(0.25)
     net = mlaan.build_backbone(8, 4, 10, (1, 12, 12), seed=9)
-    tr = mlaan.Trainer(net, 3, mlaan.TrainerMode(kind="mlm_only", k=2),
+    tr = mlaan.Trainer(net, 3, mlaan.TrainerMode(mode="mlm_only", k=2),
                        cfg, seed=9)
     assert tr.cascade_seed == pytest.approx(0.25)
