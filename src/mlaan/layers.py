@@ -1,9 +1,9 @@
 """Layer objects: thin Parameter containers around the op kernels.
 
 Every layer takes an explicit `training` flag on call rather than holding a
-global mode. Batch-norm layers also take `update_stats`; every training path
-leaves it on, and it exists only for callers that must run a training-mode
-forward without touching running statistics.
+global mode. A batch-norm layer takes the bias-free conv in front of it and
+that conv's input, and trains the pair as one op that keeps the input, not
+the conv output; `update_stats=False` leaves its running statistics alone.
 """
 
 from __future__ import annotations
@@ -61,26 +61,28 @@ class BatchNorm2d:
         self.running_var = np.ones(channels, dtype=dt)
         self.initialized = False
 
-    def __call__(self, x: Tensor, training: bool, update_stats: bool = True) -> Tensor:
-        if training:
-            out, mu, var = ops.batchnorm2d_train(x, self.gamma, self.beta, self.eps)
-            if update_stats:
-                if self.initialized:
-                    m = self.momentum
-                    self.running_mean *= 1.0 - m
-                    self.running_mean += m * mu
-                    self.running_var *= 1.0 - m
-                    self.running_var += m * var
-                else:
-                    self.running_mean[...] = mu
-                    self.running_var[...] = var
-                    self.initialized = True
-            return out
-        if not self.initialized:
-            raise StateError(
-                f"batch norm {self.name!r} evaluated before any training statistics exist")
-        return ops.batchnorm2d_eval(x, self.gamma, self.beta,
-                                    self.running_mean, self.running_var, self.eps)
+    def __call__(self, conv: Conv2d, x: Tensor, training: bool,
+                 update_stats: bool = True) -> Tensor:
+        if not training:
+            if not self.initialized:
+                raise StateError(f"batch norm {self.name!r} evaluated before any "
+                                 "training statistics exist")
+            return ops.batchnorm2d_eval(conv(x), self.gamma, self.beta,
+                                        self.running_mean, self.running_var, self.eps)
+        out, mu, var = ops.conv_batchnorm2d_train(x, conv.w, self.gamma, self.beta,
+                                                  conv.stride, conv.pad, self.eps)
+        if update_stats:
+            if self.initialized:
+                m = self.momentum
+                self.running_mean *= 1.0 - m
+                self.running_mean += m * mu
+                self.running_var *= 1.0 - m
+                self.running_var += m * var
+            else:
+                self.running_mean[...] = mu
+                self.running_var[...] = var
+                self.initialized = True
+        return out
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -109,8 +111,7 @@ class ResidualUnit:
         self.bn = BatchNorm2d(f"{name}.bn", width)
 
     def __call__(self, x: Tensor, training: bool, update_stats: bool = True) -> Tensor:
-        h = self.bn(self.conv(x), training, update_stats)
-        return ops.relu(ops.residual_add(h, x))
+        return ops.relu(ops.residual_add(self.bn(self.conv, x, training, update_stats), x))
 
     def parameters(self):
         return self.conv.parameters() + self.bn.parameters()

@@ -70,7 +70,7 @@ class Backbone:
         self.classifier = Linear("classifier", cfg.width, cfg.classes, gen)
 
     def forward(self, x: Tensor, training: bool, update_stats: bool = True) -> Tensor:
-        h = ops.relu(self.stem_bn(self.stem_conv(x), training, update_stats))
+        h = ops.relu(self.stem_bn(self.stem_conv, x, training, update_stats))
         for unit in self.units:
             h = unit(h, training, update_stats)
         return self.classifier(ops.global_avg_pool(h))
@@ -103,7 +103,7 @@ class LocalModule:
         h = x
         if self.stem is not None:
             conv, bn = self.stem
-            h = ops.relu(bn(conv(h), training, update_stats))
+            h = ops.relu(bn(conv, h, training, update_stats))
         for unit in self.units:
             h = unit(h, training, update_stats)
         return h

@@ -4,13 +4,13 @@ Each op computes its forward value with numpy, then (only when a Graph is
 active and some input wants gradients) records a backward closure on the
 tape. A closure captures exactly the arrays its backward reads, and the op
 hands those same arrays to the tape for the activation meter: conv2d its
-input, and only when the kernel wants dW; batch norm its input, μ and 1/σ;
-relu its output (`out > 0` has the bits of `x > 0`); matmul an operand only
-when the other one wants a gradient; the loss its probabilities. The
-additions, the pool and `sum_all` keep shapes only. Backward recomputes
-cheap intermediates from those arrays instead of caching scratch buffers.
-An output no closure reads (a batch norm's, a residual sum) is freed as
-soon as its consumer has run.
+input, and only when the kernel wants dW; batch norm its input, μ and 1/σ,
+and so does a bias-free conv fused with its batch norm, whose backward
+recomputes the conv output from the patch matrix dW builds anyway; relu its
+output (`out > 0` has the bits of `x > 0`); matmul an operand only when the
+other one wants a gradient; the loss its probabilities. The additions, the
+pool and `sum_all` keep shapes only. An output no closure reads (the fused
+conv's, a batch norm's, a residual sum) is freed once its consumer has run.
 
 Convolution uses the cross-correlation convention (no kernel flip) and works
 channels-last: one copy of the input into kh·kw·C patch rows, then one GEMM.
@@ -78,14 +78,14 @@ def _channel_sum(a, b=None, keep="c"):
 def _channel_layout(*arrays):
     """(views, bcast, back) for per-channel arithmetic on same-shaped N×C×H×W
     arrays. When all are NHWC in memory, the views are their (N, H·W·C) rows,
-    `bcast` tiles a channel vector H·W times along a row and `back` turns a
+    `bcast` repeats a channel vector H·W times along a row and `back` turns a
     row result into the NHWC-memory N×C×H×W view the 4-d expression would
     have produced; otherwise the arrays stay 4-d and vectors broadcast as
     [None, :, None, None]."""
     n, c, h, w = arrays[0].shape
     if all(_nhwc(a) for a in arrays):
         return ([a.transpose(0, 2, 3, 1).reshape(n, -1) for a in arrays],
-                lambda v: np.tile(v, h * w),
+                lambda v: np.repeat(v[None], h * w, axis=0).reshape(-1),
                 lambda r: r.reshape(n, h, w, c).transpose(0, 3, 1, 2))
     return list(arrays), lambda v: v[None, :, None, None], lambda a: a
 
@@ -180,9 +180,10 @@ def _conv_geometry(xshape, wshape, stride, pad):
 
 
 def _patches(x, kh, kw, stride, pad, dilate=1):
-    """Rows of kh×kw windows over the N×H×W×C array `x`, channels fastest:
+    """Rows of kh×kw windows over the N×C×H×W array `x`, channels fastest:
     (N·Ho·Wo, kh·kw·C). `x` is first dilated (dilate-1 zeros between pixels),
     then zero-padded by `pad` on each side, or cropped when `pad` is negative."""
+    x = x.transpose(0, 2, 3, 1)
     n, h, w, c = x.shape
     lo, crop = max(pad, 0), max(-pad, 0)
     xp = np.zeros((n, dilate * (h - 1) + 1 + 2 * lo, dilate * (w - 1) + 1 + 2 * lo, c), x.dtype)
@@ -196,33 +197,40 @@ def _patches(x, kh, kw, stride, pad, dilate=1):
     return np.ascontiguousarray(win).reshape(-1, kh * kw * c)
 
 
+def _conv_gemm(cols, wd, n, ho, wo):
+    """The conv output from its input's patch matrix: an NHWC-memory view."""
+    f = wd.shape[0]
+    return (cols @ wd.transpose(0, 2, 3, 1).reshape(f, -1).T
+            ).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+
+
+def _conv_dw(g, cols, wd):
+    f, c, kh, kw = wd.shape
+    return (g.transpose(0, 2, 3, 1).reshape(-1, f).T @ cols
+            ).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+
+
+def _conv_dx(g, wd, xshape, stride, pad):
+    # the forward's transpose: correlate g, dilated by the stride, with the
+    # flipped kernel, its in and out channels swapped
+    (n, c, h, width), (kh, kw) = xshape, wd.shape[2:]
+    wflip = wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
+    return (_patches(g, kh, kw, 1, kh - 1 - pad, stride) @ wflip.T
+            ).reshape(n, h, width, c).transpose(0, 3, 1, 2)
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {xd.shape}, {wd.shape}")
-    n, c, h, width = xd.shape
-    f, _, kh, kw = wd.shape
-    ho, wo = _conv_geometry(xd.shape, wd.shape, stride, pad)
-    out = _patches(xd.transpose(0, 2, 3, 1), kh, kw, stride, pad) @ \
-        wd.transpose(0, 2, 3, 1).reshape(f, -1).T
-    out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    (kh, kw), (ho, wo) = wd.shape[2:], _conv_geometry(xd.shape, wd.shape, stride, pad)
+    out = _conv_gemm(_patches(xd, kh, kw, stride, pad), wd, xd.shape[0], ho, wo)
     # dx reads the kernel (a parameter); only dW reads the input
-    need_dx, xd = x.requires_grad, (xd if w.requires_grad else None)
+    need_dx, xshape, xd = x.requires_grad, xd.shape, (xd if w.requires_grad else None)
 
     def backward(g):
-        gt = g.transpose(0, 2, 3, 1)
-        dx = dw = None
-        if need_dx:
-            # the forward's transpose: correlate g, dilated by the stride, with
-            # the flipped kernel, its in and out channels swapped
-            wflip = wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
-            dx = (_patches(gt, kh, kw, 1, kh - 1 - pad, stride) @ wflip.T
-                  ).reshape(n, h, width, c).transpose(0, 3, 1, 2)
-        if xd is not None:
-            dw = (gt.reshape(n * ho * wo, f).T @ _patches(xd.transpose(0, 2, 3, 1),
-                                                          kh, kw, stride, pad)
-                  ).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-        return dx, dw
+        dw = None if xd is None else _conv_dw(g, _patches(xd, kh, kw, stride, pad), wd)
+        return (_conv_dx(g, wd, xshape, stride, pad) if need_dx else None), dw
 
     return _result("conv2d", (x, w), out, backward, (xd,))
 
@@ -231,14 +239,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
 # normalization / pooling
 # ---------------------------------------------------------------------------
 
-def batchnorm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
-    """Batch-statistics normalization. Returns (output, batch_mean, batch_var);
-    the caller owns the running-stat bookkeeping. Variance is biased (ddof=0)."""
-    xd = x.data
+def _bn_forward(xd, gamma, beta, eps):
+    """(output, μ, σ², 1/σ) of batch-statistics normalization of `xd`."""
     if xd.ndim != 4:
         raise ShapeError(f"batchnorm2d expects N×C×H×W, got {xd.shape}")
-    n, c, h, w = xd.shape
-    m = n * h * w
+    m = xd.size // xd.shape[1]
     if m < 2:
         raise ShapeError("batchnorm2d needs at least 2 values per channel in train mode")
     (xv,), bcast, back = _channel_layout(xd)
@@ -247,21 +252,55 @@ def batchnorm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
     xc = xv - bcast(mu)
     var = _channel_sum(back(xc), back(xc)) / m
     inv = 1.0 / np.sqrt(var + eps)
-    out = back(bcast(gamma.data) * (xc * bcast(inv)) + bcast(beta.data))
+    return back(bcast(gamma.data) * (xc * bcast(inv)) + bcast(beta.data)), mu, var, inv
+
+
+def _bn_backward(xd, g, mu, inv, gamma, beta):
+    """(dx, dγ, dβ) of `_bn_forward`: inv/m·(m·dx̂ − s1 − x̂·s2), in place."""
+    m = xd.size // xd.shape[1]
+    (xv, gv), bcast, back = _channel_layout(xd, g)
+    xh = xv - bcast(mu)
+    xh *= bcast(inv)
+    dbeta = _channel_sum(g) if beta.requires_grad else None
+    dgamma = _channel_sum(g, back(xh)) if gamma.requires_grad else None
+    dx = gv * bcast(gamma.data)
+    s1 = _channel_sum(back(dx))
+    s2 = _channel_sum(back(dx), back(xh))
+    dx *= m
+    dx -= bcast(s1)
+    xh *= bcast(s2)
+    dx -= xh
+    dx *= bcast(inv / m)
+    return back(dx), dgamma, dbeta
+
+
+def batchnorm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
+    """Batch-statistics normalization. Returns (output, batch_mean, batch_var);
+    the caller owns the running-stat bookkeeping. Variance is biased (ddof=0)."""
+    xd = x.data
+    out, mu, var, inv = _bn_forward(xd, gamma, beta, eps)
+    return _result("batchnorm2d", (x, gamma, beta), out,
+                   lambda g: _bn_backward(xd, g, mu, inv, gamma, beta), (xd, mu, inv)), mu, var
+
+
+def conv_batchnorm2d_train(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
+                           stride: int = 1, pad: int = 1, eps: float = 1e-5):
+    """`batchnorm2d_train(conv2d(x, w, stride, pad), gamma, beta, eps)`, bit for
+    bit, keeping x, μ and 1/σ: backward recomputes the conv output from the
+    patch matrix dW reads, and drops that matrix before dx builds its own."""
+    y = conv2d(detach(x), detach(w), stride, pad).data
+    out, mu, var, inv = _bn_forward(y, gamma, beta, eps)
+    xd, wd, (n, _, ho, wo) = x.data, w.data, y.shape
+    need_dx, need_dw, (kh, kw) = x.requires_grad, w.requires_grad, wd.shape[2:]
 
     def backward(g):
-        (xv, gv), bcast, back = _channel_layout(xd, g)
-        xh = (xv - bcast(mu)) * bcast(inv)
-        dbeta = _channel_sum(g) if beta.requires_grad else None
-        dgamma = _channel_sum(g, back(xh)) if gamma.requires_grad else None
-        dxhat = gv * bcast(gamma.data)
-        s1 = _channel_sum(back(dxhat))
-        s2 = _channel_sum(back(dxhat), back(xh))
-        dx = bcast(inv / m) * (m * dxhat - bcast(s1) - xh * bcast(s2))
-        return back(dx), dgamma, dbeta
+        cols = _patches(xd, kh, kw, stride, pad)
+        gy, dgamma, dbeta = _bn_backward(_conv_gemm(cols, wd, n, ho, wo), g, mu, inv, gamma, beta)
+        dw = _conv_dw(gy, cols, wd) if need_dw else None
+        del cols
+        return (_conv_dx(gy, wd, xd.shape, stride, pad) if need_dx else None), dw, dgamma, dbeta
 
-    t = _result("batchnorm2d", (x, gamma, beta), out, backward, cache_arrays=(xd, mu, inv))
-    return t, mu, var
+    return _result("conv_batchnorm2d", (x, w, gamma, beta), out, backward, (xd, mu, inv)), mu, var
 
 
 def batchnorm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlaan import ops
+from mlaan import ActivationMeter, ops
 from mlaan.errors import GraphError
 from mlaan.layers import ResidualUnit
 from mlaan.optim import finite_diff_check
@@ -95,6 +95,20 @@ class TestOpGradients:
             return ops.sum_all(ops.conv2d(out, mix))
 
         check(f, [x, gamma, beta], tol=1e-5)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_conv_batchnorm_train(self, stride, pad):
+        gen = np.random.default_rng(11)
+        x = p("x", gen.standard_normal((3, 2, 5, 5)))
+        w = p("w", gen.standard_normal((3, 2, 3, 3)) * 0.5)
+        gamma, beta = p("g", gen.standard_normal(3)), p("b", gen.standard_normal(3))
+        mix = Tensor(gen.standard_normal((2, 3, 3, 3)))
+
+        def f():
+            out, _, _ = ops.conv_batchnorm2d_train(x, w, gamma, beta, stride, pad)
+            return ops.sum_all(ops.conv2d(out, mix))
+
+        check(f, [x, w, gamma, beta], tol=1e-5)
 
     def test_batchnorm_eval(self):
         gen = np.random.default_rng(7)
@@ -249,11 +263,42 @@ class TestTapeMechanics:
                 far.backward(loss)
         assert not w.grad.any() and w.accum_count == 0
 
+    def conv_batchnorm(self, meter=None):
+        gen = np.random.default_rng(12)
+        x = Tensor(gen.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        w = p("w", gen.standard_normal((4, 3, 3, 3)))
+        gamma, beta = p("gamma", gen.uniform(0.5, 1.5, 4)), p("beta", gen.standard_normal(4))
+        with Graph("body", meter=meter):
+            out, mu, var = ops.conv_batchnorm2d_train(x, w, gamma, beta)
+        return x, out, mu, var, gen.standard_normal(out.shape)
+
+    def test_conv_batchnorm_backward_twice_gives_the_same_bits(self):
+        # a body tape is backward-ed once per signal that reaches it
+        _, out, _, _, g = self.conv_batchnorm()
+        first, second = out.node.backward_fn(g), out.node.backward_fn(g)
+        assert len(first) == 4
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    def test_conv_batchnorm_keeps_its_input_mu_and_inv_sigma(self):
+        class Recording(ActivationMeter):
+            def hold(self, arr, key):
+                self.held.append(arr)
+                super().hold(arr, key)
+
+        meter = Recording()
+        meter.held = []
+        x, _, mu, var, _ = self.conv_batchnorm(meter)
+        assert len(meter.held) == 3
+        assert meter.held[0] is x.data and meter.held[1] is mu
+        assert meter.held[2].tobytes() == (1.0 / np.sqrt(var + 1e-5)).tobytes()
+
     def test_unit_frees_what_no_backward_reads(self, monkeypatch):
-        # conv -> batch norm -> residual add -> relu. No backward reads the
-        # batch-norm output or the residual sum, so both die when the unit
-        # returns; the input (dW), the conv output (batch norm's backward) and
-        # the relu output (its own mask) stay on the tape.
+        # conv and batch norm as one op -> residual add -> relu. No backward
+        # reads the conv output (the fused op's backward recomputes it), the
+        # batch-norm output or the residual sum, so all three die when the
+        # unit returns; the input (dW and the recompute) and the relu output
+        # (its own mask) stay on the tape.
         made = []
         result = ops._result
 
@@ -270,8 +315,9 @@ class TestTapeMechanics:
             out = unit(Tensor(x), training=True)
             del x, out
             alive = {op: ref() is not None for op, ref in made}
-            assert [op for op, _ in made] == ["conv2d", "batchnorm2d", "residual_add", "relu"]
-            assert alive == {"conv2d": True, "batchnorm2d": False,
+            assert [op for op, _ in made] == ["conv2d", "conv_batchnorm2d",
+                                              "residual_add", "relu"]
+            assert alive == {"conv2d": False, "conv_batchnorm2d": False,
                              "residual_add": False, "relu": True}
             assert x_alive() is not None
             g.release()

@@ -177,17 +177,24 @@ class TestLeapReplicas:
         assert out.shape == x.shape
 
 
+def identity_conv(channels):
+    """A 1×1 conv that passes its input through, so `bn(conv, x, ...)` sees x."""
+    conv = Conv2d("id", channels, channels, np.random.default_rng(0), kernel=1, pad=0)
+    conv.w.data[...] = np.eye(channels)[:, :, None, None]
+    return conv
+
+
 class TestBatchNormState:
     def test_eval_before_train_raises(self):
         bn = BatchNorm2d("bn", 3)
         x = Tensor(np.ones((2, 3, 2, 2), dtype=np.float32))
         with pytest.raises(StateError):
-            bn(x, training=False)
+            bn(identity_conv(3), x, training=False)
 
     def test_first_train_step_copies_stats(self):
         bn = BatchNorm2d("bn", 1)
         x = Tensor(np.array([1.0, 3.0], dtype=np.float32).reshape(2, 1, 1, 1))
-        bn(x, training=True)
+        bn(identity_conv(1), x, training=True)
         assert bn.initialized
         assert bn.running_mean[0] == pytest.approx(2.0)
         assert bn.running_var[0] == pytest.approx(1.0)  # biased: ((1)^2+(1)^2)/2
@@ -196,16 +203,18 @@ class TestBatchNormState:
         bn = BatchNorm2d("bn", 1)
         x1 = Tensor(np.array([1.0, 3.0], dtype=np.float32).reshape(2, 1, 1, 1))
         x2 = Tensor(np.array([11.0, 13.0], dtype=np.float32).reshape(2, 1, 1, 1))
-        bn(x1, training=True)
-        bn(x2, training=True)
+        conv = identity_conv(1)
+        bn(conv, x1, training=True)
+        bn(conv, x2, training=True)
         assert bn.running_mean[0] == pytest.approx(0.9 * 2.0 + 0.1 * 12.0)
 
     def test_update_stats_false_leaves_stats(self):
         bn = BatchNorm2d("bn", 1)
         x = Tensor(np.array([1.0, 3.0], dtype=np.float32).reshape(2, 1, 1, 1))
-        bn(x, training=True)
+        conv = identity_conv(1)
+        bn(conv, x, training=True)
         before = bn.running_mean.copy()
-        bn(Tensor(np.full((2, 1, 1, 1), 99.0, dtype=np.float32)),
+        bn(conv, Tensor(np.full((2, 1, 1, 1), 99.0, dtype=np.float32)),
            training=True, update_stats=False)
         np.testing.assert_array_equal(bn.running_mean, before)
 

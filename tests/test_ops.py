@@ -549,3 +549,44 @@ class TestGraphMechanics:
         p = Parameter("p", np.ones(2, dtype=np.float64))
         out = ops.relu(p)
         assert out.node is None
+
+
+class TestConvBatchNorm:
+    """The fused conv–batch-norm op against the conv and batch norm it fuses."""
+
+    @staticmethod
+    def run(fused, x, w, gamma, beta, g, stride, pad):
+        """Output, μ, σ², dx and the three parameter gradients of one backward."""
+        for q in (w, gamma, beta):
+            q.zero_grad()
+        with Graph("g") as graph:
+            if fused:
+                out, mu, var = ops.conv_batchnorm2d_train(x, w, gamma, beta, stride, pad)
+            else:
+                out, mu, var = ops.batchnorm2d_train(ops.conv2d(x, w, stride, pad), gamma, beta)
+            dx = graph.backward(out, g)
+        return [out.data, mu, var, dx] + [q.grad.copy() for q in (w, gamma, beta)]
+
+    # (x wants a gradient, kernel and affine frozen): a unit, the stem's
+    # image, an EMA twin
+    @pytest.mark.parametrize("x_grad,frozen", [(True, False), (False, False), (True, True)])
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (1, 0), (2, 1), (2, 0)])
+    @pytest.mark.parametrize("layout", ["nhwc", "nchw"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_conv_then_batchnorm_bitwise(self, dtype, layout, stride, pad, x_grad,
+                                                 frozen):
+        gen = np.random.default_rng(stride * 10 + pad)
+        x = Tensor(laid_out(gen.standard_normal((4, 3, 9, 9)).astype(dtype), layout),
+                   requires_grad=x_grad)
+        w, gamma, beta = (Parameter(name, v.astype(dtype), requires_grad=not frozen)
+                          for name, v in (("w", gen.standard_normal((5, 3, 3, 3))),
+                                          ("gamma", gen.uniform(0.5, 1.5, 5)),
+                                          ("beta", gen.standard_normal(5))))
+        side = (9 + 2 * pad - 3) // stride + 1
+        g = laid_out(gen.standard_normal((4, 5, side, side)).astype(dtype), "nhwc")
+        got = self.run(True, x, w, gamma, beta, g, stride, pad)
+        want = self.run(False, x, w, gamma, beta, g, stride, pad)
+        assert (got[3] is None) == (want[3] is None) == (not x_grad)
+        for a, b in zip(got, want):
+            assert a is None or same_bits(a, b)
+        assert all(q.grad.any() != frozen for q in (w, gamma, beta))

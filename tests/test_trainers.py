@@ -268,12 +268,29 @@ def test_step_matches_reforward_reference_with_one_forward(kind, monkeypatch):
         assert got.running_var.tobytes() == want.running_var.tobytes()
 
 
+def test_desk_mlaan_step_calls_conv2d_47_times(monkeypatch):
+    # the count the benchmark checks, taken the way it takes it: one call
+    # per stem, unit, head and replica unit, none from a backward
+    tr = make_trainer("mlaan", K=8, depth=18, width=8, k=3, p=2)
+    bx, by = small_batch(tr, n=16)
+    calls, conv = [], ops.conv2d
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return conv(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", counted)
+    tr.step(bx, by, 0.05)
+    assert len(calls) == 47
+
+
 @pytest.mark.parametrize("kind,p", [("bp", 0), ("greedy_local", 0), ("mlm_only", 0),
                                     ("lam_only", 2), ("mlaan", 2)])
 def test_step_matches_the_4d_reference_kernels_bitwise(kind, p, monkeypatch):
-    """Steps with the full-width per-channel kernels equal, bit for bit, the
-    same steps with the 4-d reference kernels, so no drift in their arithmetic
-    can re-roll a trained network unseen."""
+    """Steps with the full-width per-channel kernels and the fused conv–batch
+    norm equal, bit for bit, the same steps with the 4-d reference kernels and
+    the conv and batch norm run apart, so no drift in their arithmetic can
+    re-roll a trained network unseen."""
     def two_steps():  # the second backward sees gammas other than their initial ones
         tr = make_trainer(kind, K=4, depth=10, width=8, k=3, p=p)
         for seed in (0, 1):
@@ -281,8 +298,11 @@ def test_step_matches_the_4d_reference_kernels_bitwise(kind, p, monkeypatch):
             tr.step(bx, by, 0.05)
         return tr, tr.backbone.forward(Tensor(bx), training=False).data
 
+    def reference_conv_batchnorm2d_train(x, w, gamma, beta, stride, pad, eps):
+        return reference_batchnorm2d_train(ops.conv2d(x, w, stride, pad), gamma, beta, eps)
+
     got, got_logits = two_steps()
-    for name, kernel in (("batchnorm2d_train", reference_batchnorm2d_train),
+    for name, kernel in (("conv_batchnorm2d_train", reference_conv_batchnorm2d_train),
                          ("batchnorm2d_eval", reference_batchnorm2d_eval),
                          ("bias_add", reference_bias_add),
                          ("global_avg_pool", reference_global_avg_pool)):
