@@ -84,7 +84,7 @@ def build_trainer(cfg: ExperimentConfig) -> Trainer:
 
 def _with_mode(cfg: ExperimentConfig, mode: str) -> ExperimentConfig:
     """`cfg` with trainer.mode set to `mode`, checked again."""
-    return replace(cfg, trainer=replace(cfg.trainer, mode=mode)).validate()
+    return replace(cfg, trainer=replace(cfg.trainer, mode=mode))
 
 
 def _out_dir(args, cfg: ExperimentConfig) -> str:
@@ -258,11 +258,12 @@ def cmd_ablate(args) -> int:
             raise ConfigError(f"--grid: unknown mode {m!r} (choose from {MODES})")
     if not modes:
         raise ConfigError("--grid must name at least one mode")
+    grid = [(m, _with_mode(cfg, m)) for m in modes]  # every mode checked before any trains
     out = _out_dir(args, cfg)
     data = build_dataset(cfg)
     rows = []
-    for m in modes:
-        trainer = build_trainer(_with_mode(cfg, m))
+    for m, cfg_m in grid:
+        trainer = build_trainer(cfg_m)
         rec = trainer.fit(data, cfg.run.epochs, cfg.run.batch_size)
         rec.to_csv(os.path.join(out, f"metrics_{m}.csv"))
         last = rec.rows[-1] if rec.rows else {"test_error": float("nan"),

@@ -1,21 +1,21 @@
 """Experiment configuration: a JSON file with seven sections, strict key
 checking, and defaults chosen for the desk-scale setup.
 
-Each section is a dataclass that checks its own values when built;
-`ExperimentConfig.validate` adds the rules that span sections.
-`run.seed` is deliberately required — every run states its seed.
+Each section is a dataclass that checks the types and ranges of its own
+values when built, from a file or from Python; `ExperimentConfig` checks the
+rules that span sections when it is built or replaced. `run.seed` is
+deliberately required — every run states its seed.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, check_types, field_types
 from .optim import OptimizerConfig
 from .network import BackboneConfig, check_partition
 from .training import CASCADE_MODES, TrainerMode
@@ -32,43 +32,12 @@ def _check_keys(section: str, data: dict, allowed) -> None:
             raise ConfigError(f"unknown key '{section}.{key}'")
 
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
-
-
-def _fits(value, kind) -> bool:
-    """JSON integers fit int fields (booleans do not); any finite JSON number
-    fits a float field (Python's parser also reads NaN and Infinity)."""
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, kind)
-
-
-def _typed(section: str, raw: dict) -> dict:
-    """`raw`'s values checked against the types of the section's fields, JSON
-    lists turned into tuples. None fits an Optional field only."""
-    out = {}
-    for key, value in raw.items():
-        kind = _FIELD_TYPES[section][key]
-        optional = typing.get_origin(kind) is typing.Union
-        if optional:
-            kind = typing.get_args(kind)[0]
-        if typing.get_origin(kind) is tuple:
-            item = typing.get_args(kind)[0]
-            ok = isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
-            what = f"a list of {_KINDS[item].split()[-1]}s"
-        else:
-            ok, what = _fits(value, kind), _KINDS[kind]
-        if not (ok or optional and value is None):
-            raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
-        out[key] = tuple(value) if isinstance(value, list) else value
-    return out
-
-
 @dataclass
 class PartitionSection:
     K: int = 8
+
+    def __post_init__(self):
+        check_types("partition", self)
 
 
 @dataclass
@@ -79,7 +48,8 @@ class RunSection:
     precision: str = "float32"
 
     def __post_init__(self):
-        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
+        check_types("run", self)
+        if self.seed is not None and self.seed < 0:
             raise ConfigError(f"run.seed must be a non-negative integer, got {self.seed!r}")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"run.precision must be one of {PRECISIONS}, got {self.precision!r}")
@@ -97,6 +67,7 @@ class DatasetSection:
     noise_scale: float = 0.35
 
     def __post_init__(self):
+        check_types("dataset", self)
         if self.kind not in DATASET_KINDS:
             raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {self.kind!r}")
         if self.kind == "idx" and len(self.paths) != 4:
@@ -115,6 +86,9 @@ class DatasetSection:
 class OutputSection:
     dir: Optional[str] = None
 
+    def __post_init__(self):
+        check_types("output", self)
+
 
 @dataclass
 class ExperimentConfig:
@@ -126,17 +100,14 @@ class ExperimentConfig:
     dataset: DatasetSection = field(default_factory=DatasetSection)
     output: OutputSection = field(default_factory=OutputSection)
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if self.run.seed is None:
             raise ConfigError("run.seed is required")
         check_partition(self.backbone.depth - 2, self.partition.K,
                         self.trainer.k if self.trainer.mode in CASCADE_MODES else None)
-        return self
 
     def out_dir(self) -> str:
-        if self.output.dir:
-            return self.output.dir
-        return os.environ.get("MLAAN_OUT", ".")
+        return self.output.dir or os.environ.get("MLAAN_OUT", ".")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -145,11 +116,9 @@ class ExperimentConfig:
         return d
 
 
-_SECTIONS = {"backbone": BackboneConfig, "partition": PartitionSection,
-             "trainer": TrainerMode, "optimizer": OptimizerConfig, "run": RunSection,
-             "dataset": DatasetSection, "output": OutputSection}
-# each section's field types, resolved from the annotations once, at import
-_FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
+_SECTIONS = typing.get_type_hints(ExperimentConfig)  # section name -> its class
+for _cls in _SECTIONS.values():  # their field types resolved at import, not in the first load
+    field_types(_cls)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -159,9 +128,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     sections = {}
     for name, cls in _SECTIONS.items():
         raw = data.get(name, {})
-        _check_keys(name, raw, _FIELD_TYPES[name])
-        sections[name] = cls(**_typed(name, raw))
-    return ExperimentConfig(**sections).validate()
+        _check_keys(name, raw, [f.name for f in fields(cls)])
+        sections[name] = cls(**raw)
+    return ExperimentConfig(**sections)
 
 
 def load_config(path: str) -> ExperimentConfig:

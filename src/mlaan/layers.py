@@ -21,19 +21,15 @@ def kaiming_normal(gen: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return gen.standard_normal(shape) * math.sqrt(2.0 / fan_in)
 
 
-class Conv2d:
+class Conv2d:  # 3×3, stride 1, padded to keep the spatial size
     def __init__(self, name: str, c_in: int, c_out: int, gen: np.random.Generator,
-                 kernel: int = 3, stride: int = 1, pad: int = 1, bias: bool = False):
+                 bias: bool = False):
         self.name = name
-        self.stride = stride
-        self.pad = pad
-        self.w = Parameter(f"{name}.w",
-                           kaiming_normal(gen, (c_out, c_in, kernel, kernel),
-                                          c_in * kernel * kernel))
+        self.w = Parameter(f"{name}.w", kaiming_normal(gen, (c_out, c_in, 3, 3), c_in * 9))
         self.b = Parameter(f"{name}.b", np.zeros(c_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ops.conv2d(x, self.w, stride=self.stride, pad=self.pad)
+        out = ops.conv2d(x, self.w)
         if self.b is not None:
             out = ops.bias_add(out, self.b)
         return out
@@ -50,15 +46,12 @@ class BatchNorm2d:
     Evaluating before any statistics exist is a state error.
     """
 
-    def __init__(self, name: str, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, name: str, channels: int):
         self.name = name
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(f"{name}.gamma", np.ones(channels))
         self.beta = Parameter(f"{name}.beta", np.zeros(channels))
-        dt = self.gamma.data.dtype
-        self.running_mean = np.zeros(channels, dtype=dt)
-        self.running_var = np.ones(channels, dtype=dt)
+        self.running_mean = np.zeros_like(self.gamma.data)
+        self.running_var = np.ones_like(self.gamma.data)
         self.initialized = False
 
     def __call__(self, conv: Conv2d, x: Tensor, training: bool,
@@ -68,16 +61,14 @@ class BatchNorm2d:
                 raise StateError(f"batch norm {self.name!r} evaluated before any "
                                  "training statistics exist")
             return ops.batchnorm2d_eval(conv(x), self.gamma, self.beta,
-                                        self.running_mean, self.running_var, self.eps)
-        out, mu, var = ops.conv_batchnorm2d_train(x, conv.w, self.gamma, self.beta,
-                                                  conv.stride, conv.pad, self.eps)
+                                        self.running_mean, self.running_var)
+        out, mu, var = ops.conv_batchnorm2d_train(x, conv.w, self.gamma, self.beta)
         if update_stats:
             if self.initialized:
-                m = self.momentum
-                self.running_mean *= 1.0 - m
-                self.running_mean += m * mu
-                self.running_var *= 1.0 - m
-                self.running_var += m * var
+                self.running_mean *= 0.9
+                self.running_mean += 0.1 * mu
+                self.running_var *= 0.9
+                self.running_var += 0.1 * var
             else:
                 self.running_mean[...] = mu
                 self.running_var[...] = var

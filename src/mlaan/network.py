@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError
+from .errors import ConfigError, check_types
 from .layers import BatchNorm2d, Conv2d, Linear, ResidualUnit
 from .rng import named_stream
 from .tensor import Tensor
@@ -39,10 +39,7 @@ class BackboneConfig:
     input_shape: tuple[int, ...] = (1, 12, 12)
 
     def __post_init__(self):
-        for key in ("depth", "width", "classes"):
-            value = getattr(self, key)
-            if type(value) is not int:  # bool is an int subclass
-                raise ConfigError(f"backbone.{key} must be an integer, got {value!r}")
+        check_types("backbone", self)
         if self.depth < 3:
             raise ConfigError(f"backbone.depth must be >= 3 (stem + at least "
                               f"one unit + classifier), got {self.depth}")
@@ -50,11 +47,9 @@ class BackboneConfig:
             raise ConfigError(f"backbone.width must be >= 1, got {self.width}")
         if self.classes < 2:
             raise ConfigError(f"backbone.classes must be >= 2, got {self.classes}")
-        shape = tuple(self.input_shape)
-        if len(shape) != 3 or any(type(v) is not int or v < 1 for v in shape):
+        if len(self.input_shape) != 3 or any(v < 1 for v in self.input_shape):
             raise ConfigError(f"backbone.input_shape must be three positive ints (C, H, W), "
                               f"got {self.input_shape!r}")
-        self.input_shape = shape
 
 
 class Backbone:

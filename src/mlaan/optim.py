@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_types
 from .tensor import Graph, Parameter, Tensor
 
 
@@ -28,6 +28,7 @@ class OptimizerConfig:
     weight_decay: float = 1e-4
 
     def __post_init__(self):
+        check_types("optimizer", self)
         for key in ("lr", "min_lr", "lr_cascaded", "weight_decay"):
             value = getattr(self, key)
             if value is not None and value < 0:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ops
 from .analysis import ActivationMeter, MetricsRecorder
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import ConfigError, DataError, TrainingDiverged, check_types
 from .layers import AuxHead
 from .network import (Backbone, LeapReplicaPair, build_leap_replicas, check_partition,
                       partition, resync_replicas)
@@ -54,6 +54,7 @@ class TrainerMode:
     sync_period: int = 0  # 0: every epoch, -1: never, n>0: every n optimizer steps
 
     def __post_init__(self):
+        check_types("trainer", self)
         if self.mode not in MODES:
             raise ConfigError(f"trainer.mode must be one of {MODES}, got {self.mode!r}")
         if self.mlaan_rule not in MLAAN_RULES:

@@ -333,6 +333,13 @@ def test_ablate_rejects_unknown_mode(tmp_path, capsys):
     assert "unknown mode" in capsys.readouterr().err
 
 
+def test_ablate_checks_the_whole_grid_before_training(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, trainer={"mode": "bp", "k": 9})  # k unused by bp
+    assert main(["ablate", "--config", cfg_path, "--grid", "bp,mlaan"]) == 1
+    assert "trainer.k must lie in 2..K=2, got 9" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "metrics_bp.csv")
+
+
 def test_out_flag_overrides_config_dir(tmp_path):
     cfg_path = write_config(tmp_path)
     override = str(tmp_path / "elsewhere")

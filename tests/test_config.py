@@ -1,5 +1,6 @@
 """Config parsing: strict keys, required seed, range checks, round trips."""
 
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 
 import mlaan
 from mlaan.cli import build_trainer
-from mlaan.config import _SECTIONS, DATASET_KINDS, RunSection
+from mlaan.config import _SECTIONS, DATASET_KINDS, DatasetSection, PartitionSection, RunSection
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -93,10 +94,48 @@ def test_validation_rejections(patch, fragment):
     ({"epochs": -1}, "run.epochs"),
     ({"seed": -1}, "run.seed"),
     ({"precision": "float16"}, "run.precision"),
+    ({"epochs": 1.5, "seed": 0}, "run.epochs must be an integer"),
+    ({"seed": "3"}, "run.seed must be an integer"),
 ])
 def test_run_section_checks_itself(values, fragment):
     with pytest.raises(mlaan.ConfigError, match=fragment):
         RunSection(**values)
+
+
+@pytest.mark.parametrize("section,values", [
+    ("optimizer", {"lr": "0.1"}),
+    ("trainer", {"k": 2.5}),
+    ("trainer", {"p": True}),
+    ("run", {"epochs": 1.5, "seed": 0}),
+    ("backbone", {"depth": 2.0}),
+    ("backbone", {"input_shape": [1, 12.0, 12]}),
+    ("partition", {"K": 8.0}),
+    ("output", {"dir": 3}),
+    ("dataset", {"paths": [1, 2]}),
+    ("optimizer", {"lr_cascaded": float("nan")}),
+])
+def test_sections_built_in_python_raise_the_file_error(section, values):
+    with pytest.raises(mlaan.ConfigError) as from_file:
+        mlaan.config_from_dict(minimal(**{section: values}))
+    with pytest.raises(mlaan.ConfigError) as from_python:
+        _SECTIONS[section](**values)
+    assert str(from_python.value) == str(from_file.value)
+    assert str(from_python.value).startswith(f"{section}.{next(iter(values))} must be ")
+
+
+def test_tuple_fields_store_tuples_from_python():
+    assert DatasetSection(paths=["a", "b"]).paths == ("a", "b")
+    assert mlaan.BackboneConfig(input_shape=[3, 8, 8]).input_shape == (3, 8, 8)
+
+
+def test_replace_checks_the_cross_section_rules():
+    cfg = mlaan.config_from_dict(minimal())
+    with pytest.raises(mlaan.ConfigError, match="partition.K"):
+        dataclasses.replace(cfg, partition=PartitionSection(K=99))
+    with pytest.raises(mlaan.ConfigError, match="trainer.k"):
+        dataclasses.replace(cfg, trainer=mlaan.TrainerMode(mode="mlm_only", k=9))
+    with pytest.raises(mlaan.ConfigError, match="run.seed is required"):
+        dataclasses.replace(cfg, run=RunSection())
 
 
 def test_trainer_section_is_the_trainer_mode():

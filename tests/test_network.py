@@ -178,9 +178,11 @@ class TestLeapReplicas:
 
 
 def identity_conv(channels):
-    """A 1×1 conv that passes its input through, so `bn(conv, x, ...)` sees x."""
-    conv = Conv2d("id", channels, channels, np.random.default_rng(0), kernel=1, pad=0)
-    conv.w.data[...] = np.eye(channels)[:, :, None, None]
+    """A 3×3 conv that passes its input through (the identity at the centre
+    tap, zero elsewhere), so `bn(conv, x, ...)` sees x."""
+    conv = Conv2d("id", channels, channels, np.random.default_rng(0))
+    conv.w.data[...] = 0.0
+    conv.w.data[:, :, 1, 1] = np.eye(channels)
     return conv
 
 

@@ -207,7 +207,7 @@ def reforward_reference(tr, bx, by):
     """Accumulate one step's gradients the long way: for bp, the whole
     network on one tape; otherwise each module pathway on one tape, then
     each cascade window forwarded again through its members on one tape,
-    leaving batch-norm statistics alone."""
+    with the backbone's batch-norm statistics restored afterwards."""
     if tr.mode.mode == "bp":
         with Graph("bp") as g:
             logits = tr.backbone.forward(Tensor(bx), training=True)
@@ -226,16 +226,20 @@ def reforward_reference(tr, bx, by):
                 logits = tr.heads[m.index](h)
             g.backward(ops.softmax_cross_entropy(logits, by))
         boundaries.append(Tensor(feats.data))
+    stats = [(bn, bn.running_mean.copy(), bn.running_var.copy(), bn.initialized)
+             for bn in tr.backbone.batchnorms()]
     for group in tr.cascades:
         with Graph(f"cascade{group.start}") as g:
             h = boundaries[group.start - 1]
             for m in group.members:
-                h = m.forward_body(h, training=True, update_stats=False)
+                h = m.forward_body(h, training=True)
             if group.head is None:
                 logits = group.last.finish(h)
             else:
                 logits = group.head(group.pair.apply(h) if group.pair else h)
             g.backward(ops.softmax_cross_entropy(logits, by), seed=tr.cascade_seed)
+    for bn, mean, var, initialized in stats:
+        bn.running_mean[...], bn.running_var[...], bn.initialized = mean, var, initialized
 
 
 @pytest.mark.parametrize("kind", ["mlm_only", "lam_only", "mlaan", "bp", "greedy_local"])
@@ -298,7 +302,7 @@ def test_step_matches_the_4d_reference_kernels_bitwise(kind, p, monkeypatch):
             tr.step(bx, by, 0.05)
         return tr, tr.backbone.forward(Tensor(bx), training=False).data
 
-    def reference_conv_batchnorm2d_train(x, w, gamma, beta, stride, pad, eps):
+    def reference_conv_batchnorm2d_train(x, w, gamma, beta, stride=1, pad=1, eps=1e-5):
         return reference_batchnorm2d_train(ops.conv2d(x, w, stride, pad), gamma, beta, eps)
 
     got, got_logits = two_steps()
