@@ -1,5 +1,6 @@
 """End-to-end command-line flows against tiny configurations."""
 
+import hashlib
 import json
 import os
 
@@ -257,6 +258,39 @@ def test_build_trainer_leaves_the_default_dtype(tmp_path):
     data = build_dataset(cfg64)
     report = mlaan.meter_peak_activations(wide, data.train_x[:16], data.train_y[:16])
     assert report.bytes_estimate == 8 * report.peak_elements
+
+
+def _param_digest(trainer) -> str:
+    h = hashlib.sha256()
+    for p in trainer.all_params:
+        h.update(p.name.encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+def test_trainers_of_two_precisions_stepped_in_turns_match_their_lone_runs(tmp_path):
+    net = {"backbone": {"depth": 8, "width": 4}, "partition": {"K": 3}}
+    cfgs = [mlaan.load_config(write_config(
+        tmp_path, **net, trainer={"mode": mode, "k": 2, "p": p},
+        run={"seed": 0, "precision": precision}))
+        for mode, p, precision in (("mlaan", 2, "float64"), ("mlm_only", 0, "float32"))]
+    data = build_dataset(cfgs[0])
+    batches = [(data.train_x[at:at + 8], data.train_y[at:at + 8]) for at in range(0, 48, 8)]
+
+    def lone(cfg):
+        trainer = build_trainer(cfg)
+        for bx, by in batches:
+            trainer.step(bx, by, 0.1)
+        return _param_digest(trainer)
+
+    alone = [lone(cfg) for cfg in cfgs]
+    pair = [build_trainer(cfg) for cfg in cfgs]
+    for bx, by in batches:
+        for trainer in pair:
+            trainer.step(bx, by, 0.1)
+    assert [_param_digest(t) for t in pair] == alone
+    assert {p.data.dtype for p in pair[0].all_params} == {np.dtype(np.float64)}
+    assert {p.data.dtype for p in pair[1].all_params} == {np.dtype(np.float32)}
 
 
 def test_probe_all_layers(trained_run):
