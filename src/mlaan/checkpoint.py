@@ -79,7 +79,7 @@ def save_checkpoint(path: str, trainer, config_dict: dict, recorder=None,
     state = collect_state(trainer)
     blob = _pack_entries(state)
     digest = hashlib.sha256(blob).hexdigest().encode("ascii")
-    precision = _PRECISION_CODES[str(trainer.backbone.units[0].conv.w.dtype)]
+    precision = _PRECISION_CODES[str(trainer.backbone.dtype)]
     header = MAGIC + struct.pack("<IBQII", VERSION, precision,
                                  trainer.step_index, epoch, len(state))
     from .rng import generator_state
@@ -171,11 +171,13 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     sidecar = None
     if os.path.exists(path + ".json"):
-        with open(path + ".json") as fh:
-            try:
+        try:
+            with open(path + ".json", encoding="utf-8") as fh:
                 sidecar = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CheckpointError(f"{path}.json: not valid JSON: {exc}")
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"{path}.json: not valid JSON: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"cannot read sidecar {path}.json: {exc}")
         if not isinstance(sidecar, dict):
             raise CheckpointError(f"{path}.json: the sidecar is not a JSON object")
         # the two files are renamed one after the other; a save cut between leaves a stale sidecar

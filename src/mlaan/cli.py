@@ -21,7 +21,6 @@ from .analysis import MetricsRecorder, layerwise_cka, linear_probes, meter_peak_
 from .config import DatasetSection, ExperimentConfig, config_from_dict, load_config
 from .errors import CheckpointError, ConfigError, DataError, MlaanError
 from .network import Backbone
-from .tensor import get_default_dtype, set_default_dtype
 from .training import MODES, Trainer, evaluate as evaluate_network
 
 
@@ -71,15 +70,9 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
 
 
 def build_trainer(cfg: ExperimentConfig) -> Trainer:
-    """The trainer a config describes, its parameters in `run.precision`;
-    the process default dtype is left as it was."""
-    previous = get_default_dtype()
-    set_default_dtype(cfg.run.precision)
-    try:
-        return Trainer(Backbone(cfg.backbone, cfg.run.seed), cfg.partition.K,
-                       cfg.trainer, cfg.optimizer, cfg.run.seed)
-    finally:
-        set_default_dtype(previous)
+    """The trainer a config describes, its parameters in `run.precision`."""
+    return Trainer(Backbone(cfg.backbone, cfg.run.seed, cfg.run.precision), cfg.partition.K,
+                   cfg.trainer, cfg.optimizer, cfg.run.seed)
 
 
 def _with_mode(cfg: ExperimentConfig, mode: str) -> ExperimentConfig:

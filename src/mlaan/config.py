@@ -1,7 +1,7 @@
 """Experiment configuration: a JSON file with seven sections, strict key
 checking, and defaults chosen for the desk-scale setup.
 
-Each section is a dataclass that checks the types and ranges of its own
+Each section is a frozen dataclass that checks the types and ranges of its own
 values when built, from a file or from Python; `ExperimentConfig` checks the
 rules that span sections when it is built or replaced. `run.seed` is
 deliberately required — every run states its seed.
@@ -32,7 +32,7 @@ def _check_keys(section: str, data: dict, allowed) -> None:
             raise ConfigError(f"unknown key '{section}.{key}'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionSection:
     K: int = 8
 
@@ -40,7 +40,7 @@ class PartitionSection:
         check_types("partition", self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSection:
     epochs: int = 40
     batch_size: int = 64
@@ -59,7 +59,7 @@ class RunSection:
             raise ConfigError(f"run.batch_size must be >= 2, got {self.batch_size}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSection:
     kind: str = "synthetic"
     paths: tuple[str, ...] = ()
@@ -82,7 +82,7 @@ class DatasetSection:
             raise ConfigError(f"dataset.noise_scale must be > 0, got {self.noise_scale}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputSection:
     dir: Optional[str] = None
 
@@ -90,7 +90,7 @@ class OutputSection:
         check_types("output", self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     partition: PartitionSection = field(default_factory=PartitionSection)

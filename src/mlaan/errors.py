@@ -72,4 +72,4 @@ def check_types(section: str, obj) -> None:
         if not (ok or optional and value is None):
             raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
         if isinstance(value, list):
-            setattr(obj, key, tuple(value))
+            object.__setattr__(obj, key, tuple(value))  # the sections are frozen

@@ -1,9 +1,10 @@
 """Layer objects: thin Parameter containers around the op kernels.
 
-Every layer takes an explicit `training` flag on call rather than holding a
-global mode. A batch-norm layer takes the bias-free conv in front of it and
-that conv's input, and trains the pair as one op that keeps the input, not
-the conv output; `update_stats=False` leaves its running statistics alone.
+Every layer takes its parameters' dtype when built (None: the default dtype)
+and an explicit `training` flag on call rather than holding a global mode.
+A batch-norm layer takes the bias-free conv in front of it and that conv's
+input, and trains the pair as one op that keeps the input, not the conv
+output; `update_stats=False` leaves its running statistics alone.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ def kaiming_normal(gen: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 class Conv2d:  # 3×3, stride 1, padded to keep the spatial size
     def __init__(self, name: str, c_in: int, c_out: int, gen: np.random.Generator,
-                 bias: bool = False):
+                 bias: bool = False, dtype=None):
         self.name = name
-        self.w = Parameter(f"{name}.w", kaiming_normal(gen, (c_out, c_in, 3, 3), c_in * 9))
-        self.b = Parameter(f"{name}.b", np.zeros(c_out)) if bias else None
+        self.w = Parameter(f"{name}.w", kaiming_normal(gen, (c_out, c_in, 3, 3), c_in * 9), dtype)
+        self.b = Parameter(f"{name}.b", np.zeros(c_out), dtype) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         out = ops.conv2d(x, self.w)
@@ -46,10 +47,10 @@ class BatchNorm2d:
     Evaluating before any statistics exist is a state error.
     """
 
-    def __init__(self, name: str, channels: int):
+    def __init__(self, name: str, channels: int, dtype=None):
         self.name = name
-        self.gamma = Parameter(f"{name}.gamma", np.ones(channels))
-        self.beta = Parameter(f"{name}.beta", np.zeros(channels))
+        self.gamma = Parameter(f"{name}.gamma", np.ones(channels), dtype)
+        self.beta = Parameter(f"{name}.beta", np.zeros(channels), dtype)
         self.running_mean = np.zeros_like(self.gamma.data)
         self.running_var = np.ones_like(self.gamma.data)
         self.initialized = False
@@ -96,10 +97,10 @@ class Linear:
 class ResidualUnit:
     """conv3x3 (no bias) -> batch norm -> add input -> relu. Width-preserving."""
 
-    def __init__(self, name: str, width: int, gen: np.random.Generator):
+    def __init__(self, name: str, width: int, gen: np.random.Generator, dtype=None):
         self.name = name
-        self.conv = Conv2d(f"{name}.conv", width, width, gen, bias=False)
-        self.bn = BatchNorm2d(f"{name}.bn", width)
+        self.conv = Conv2d(f"{name}.conv", width, width, gen, bias=False, dtype=dtype)
+        self.bn = BatchNorm2d(f"{name}.bn", width, dtype)
 
     def __call__(self, x: Tensor, training: bool, update_stats: bool = True) -> Tensor:
         return ops.relu(ops.residual_add(self.bn(self.conv, x, training, update_stats), x))
@@ -111,10 +112,11 @@ class ResidualUnit:
 class AuxHead:
     """Local classification head: 3x3 conv (bias) -> relu -> global pool -> linear."""
 
-    def __init__(self, name: str, width: int, classes: int, gen: np.random.Generator):
+    def __init__(self, name: str, width: int, classes: int, gen: np.random.Generator,
+                 dtype=None):
         self.name = name
-        self.conv = Conv2d(f"{name}.conv", width, width, gen, bias=True)
-        self.fc = Linear(f"{name}.fc", width, classes, gen)
+        self.conv = Conv2d(f"{name}.conv", width, width, gen, bias=True, dtype=dtype)
+        self.fc = Linear(f"{name}.fc", width, classes, gen, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc(ops.global_avg_pool(ops.relu(self.conv(x))))

@@ -29,7 +29,7 @@ from .rng import named_stream
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackboneConfig:
     """Backbone shape; also the config's `backbone` section."""
 
@@ -52,17 +52,17 @@ class BackboneConfig:
                               f"got {self.input_shape!r}")
 
 
-class Backbone:
-    def __init__(self, cfg: BackboneConfig, seed: int):
+class Backbone:  # parameters in `dtype` (None: the default dtype), kept as `.dtype`
+    def __init__(self, cfg: BackboneConfig, seed: int, dtype=None):
         self.cfg = cfg
         gen = named_stream(seed, "init/backbone")
-        c_in = cfg.input_shape[0]
-        self.stem_conv = Conv2d("stem.conv", c_in, cfg.width, gen, bias=False)
-        self.stem_bn = BatchNorm2d("stem.bn", cfg.width)
+        self.stem_conv = Conv2d("stem.conv", cfg.input_shape[0], cfg.width, gen, dtype=dtype)
+        self.stem_bn = BatchNorm2d("stem.bn", cfg.width, dtype)
         pad = int(math.log10(max(cfg.depth - 2, 1))) + 1
-        self.units = [ResidualUnit(f"unit{i:0{pad}d}", cfg.width, gen)
+        self.units = [ResidualUnit(f"unit{i:0{pad}d}", cfg.width, gen, dtype)
                       for i in range(cfg.depth - 2)]
-        self.classifier = Linear("classifier", cfg.width, cfg.classes, gen)
+        self.classifier = Linear("classifier", cfg.width, cfg.classes, gen, dtype)
+        self.dtype = self.classifier.w.dtype
 
     def forward(self, x: Tensor, training: bool, update_stats: bool = True) -> Tensor:
         h = ops.relu(self.stem_bn(self.stem_conv, x, training, update_stats))
@@ -80,8 +80,9 @@ class Backbone:
         return [self.stem_bn] + [u.bn for u in self.units]
 
 
-def build_backbone(depth: int, width: int, num_classes: int, input_shape, seed: int = 0) -> Backbone:
-    return Backbone(BackboneConfig(depth, width, num_classes, input_shape), seed)
+def build_backbone(depth: int, width: int, num_classes: int, input_shape, seed: int = 0,
+                   dtype=None) -> Backbone:
+    return Backbone(BackboneConfig(depth, width, num_classes, input_shape), seed, dtype)
 
 
 class LocalModule:

@@ -12,7 +12,7 @@ from .errors import ConfigError, check_types
 from .tensor import Graph, Parameter, Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Learning-rate and momentum settings; also the config's `optimizer` section.
 

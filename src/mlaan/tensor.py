@@ -22,7 +22,8 @@ _default_dtype = np.dtype(np.float32)
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly created tensors/parameters (float32 or float64)."""
+    """Set the dtype (float32 or float64) of parameters built without one and of
+    tensors built from non-float data."""
     global _default_dtype
     dt = np.dtype(dtype)
     if dt not in FLOAT_DTYPES:

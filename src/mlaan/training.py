@@ -43,7 +43,7 @@ CASCADE_MODES = ("mlm_only", "mlaan")
 MLAAN_RULES = ("ema_teacher",)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerMode:
     """The config's `trainer` section: the training rule and its settings."""
     mode: str = "mlaan"
@@ -140,7 +140,8 @@ class Trainer:
         mods, cfg = self.modules, backbone.cfg
 
         def head(name, stream):
-            return AuxHead(name, cfg.width, cfg.classes, named_stream(seed, stream))
+            return AuxHead(name, cfg.width, cfg.classes, named_stream(seed, stream),
+                           backbone.dtype)
 
         if mode.mode == "bp":
             signals = [Signal("bp", mods)]

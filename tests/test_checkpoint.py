@@ -180,12 +180,18 @@ def test_save_into_nested_directory(tmp_path):
 
 
 @pytest.mark.parametrize("text,fragment", [('{"config": ', "not valid JSON"),
-                                           ("[1]", "not a JSON object")])
+                                           ("[1]", "not a JSON object"),
+                                           (b'{"step": "\xff"}', "cannot read sidecar"),
+                                           (None, "cannot read sidecar")])  # None: a directory
 def test_malformed_sidecar_rejected(tmp_path, text, fragment):
     tr = trained(steps=1)
     path = str(tmp_path / "c.mlnn")
     mlaan.save_checkpoint(path, tr, {})
-    with open(path + ".json", "w") as fh:
-        fh.write(text)
+    sidecar = tmp_path / "c.mlnn.json"
+    sidecar.unlink()
+    if text is None:
+        sidecar.mkdir()
+    else:
+        sidecar.write_bytes(text.encode() if isinstance(text, str) else text)
     with pytest.raises(mlaan.CheckpointError, match=fragment):
         mlaan.load_checkpoint(path)

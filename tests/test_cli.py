@@ -247,17 +247,36 @@ def test_eval_on_idx_files(trained_run, tmp_path):
         assert main(["eval", "--checkpoint", ckpt, "--dataset", bad]) == 1
 
 
-def test_build_trainer_leaves_the_default_dtype(tmp_path):
+def test_no_engine_path_sets_the_default_dtype(tmp_path, monkeypatch):
+    def refuse(dtype):
+        raise AssertionError(f"set_default_dtype({dtype!r}) called")
+    monkeypatch.setattr(mlaan.tensor, "set_default_dtype", refuse)
+    monkeypatch.setattr(mlaan.cli, "set_default_dtype", refuse, raising=False)
+
     cfg64 = mlaan.load_config(write_config(tmp_path, run={"seed": 0, "precision": "float64"}))
-    cfg32 = mlaan.load_config(write_config(tmp_path))
     wide = build_trainer(cfg64)
-    assert mlaan.get_default_dtype() == np.float32
     assert {p.data.dtype for p in wide.all_params} == {np.dtype(np.float64)}
-    assert mlaan.build_backbone(6, 4, 10, (1, 12, 12)).parameters()[0].data.dtype == np.float32
-    build_trainer(cfg32)
     data = build_dataset(cfg64)
+    wide.step(data.train_x[:16], data.train_y[:16], 0.1)
+    path = str(tmp_path / "c.mlnn")
+    mlaan.save_checkpoint(path, wide, cfg64.to_dict())
+    _, again, _ = _load_trained(path)
+    assert [p.data.tobytes() for p in again.all_params] == [p.data.tobytes()
+                                                              for p in wide.all_params]
     report = mlaan.meter_peak_activations(wide, data.train_x[:16], data.train_y[:16])
     assert report.bytes_estimate == 8 * report.peak_elements
+
+    # built directly: heads and both replica sets follow the backbone, not the default
+    cfg = mlaan.config_from_dict({"backbone": {"depth": 8, "width": 4}, "partition": {"K": 3},
+                                  "trainer": {"mode": "mlaan", "k": 2, "p": 2},
+                                  "run": {"seed": 0}})
+    tr = mlaan.Trainer(mlaan.Backbone(cfg.backbone, 0, dtype=np.float64), cfg.partition.K,
+                       cfg.trainer, cfg.optimizer, 0)
+    assert tr.pairs and tr.heads and tr.cascades
+    assert {p.data.dtype for p in tr.all_params} == {np.dtype(np.float64)}
+    assert mlaan.get_default_dtype() == np.float32
+    assert build_trainer(mlaan.load_config(write_config(tmp_path))).backbone.dtype == np.float32
+    assert mlaan.build_backbone(6, 4, 10, (1, 12, 12)).parameters()[0].data.dtype == np.float32
 
 
 def _param_digest(trainer) -> str:

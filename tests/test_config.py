@@ -4,11 +4,13 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 import mlaan
 from mlaan.cli import build_trainer
-from mlaan.config import _SECTIONS, DATASET_KINDS, DatasetSection, PartitionSection, RunSection
+from mlaan.config import (_SECTIONS, DATASET_KINDS, DatasetSection, OutputSection,
+                          PartitionSection, RunSection)
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -176,7 +178,11 @@ def test_shipped_configs_load_round_trip_and_build(name):
         for section, values in json.load(fh).items():
             assert {k: d[section][k] for k in values} == values
     assert mlaan.config_from_dict(d).to_dict() == d
+    other = "float64" if cfg.run.precision == "float32" else "float32"
+    mlaan.set_default_dtype(other)  # the build neither reads nor resets it
     trainer = build_trainer(cfg)
+    assert mlaan.get_default_dtype() == other
+    assert {p.data.dtype for p in trainer.all_params} == {np.dtype(cfg.run.precision)}
     assert len(trainer.modules) == cfg.partition.K
     assert len(trainer.backbone.units) == cfg.backbone.depth - 2
 
@@ -206,8 +212,20 @@ def test_out_dir_precedence(monkeypatch):
     assert cfg.out_dir() == "."
     monkeypatch.setenv("MLAAN_OUT", "/tmp/runs")
     assert cfg.out_dir() == "/tmp/runs"
-    cfg.output.dir = "/explicit"
+    cfg = dataclasses.replace(cfg, output=OutputSection(dir="/explicit"))
     assert cfg.out_dir() == "/explicit"
+
+
+def test_sections_are_frozen():
+    cfg = mlaan.config_from_dict(minimal(trainer={"mode": "lam_only", "p": 1}))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trainer.p = 1.5  # would skip the check a built section passes
+    for section in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(getattr(cfg, section.name), "x", 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.run = RunSection(seed=1)
+    assert cfg.trainer.p == 1 and build_trainer(cfg).pairs
 
 
 def test_dataset_kinds_are_closed():
