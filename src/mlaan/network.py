@@ -80,9 +80,8 @@ class Backbone:  # parameters in `dtype` (None: the default dtype), kept as `.dt
         return [self.stem_bn] + [u.bn for u in self.units]
 
 
-def build_backbone(depth: int, width: int, num_classes: int, input_shape, seed: int = 0,
-                   dtype=None) -> Backbone:
-    return Backbone(BackboneConfig(depth, width, num_classes, input_shape), seed, dtype)
+def build_backbone(depth: int, width: int, num_classes: int, input_shape, seed: int = 0) -> Backbone:
+    return Backbone(BackboneConfig(depth, width, num_classes, input_shape), seed)
 
 
 class LocalModule:

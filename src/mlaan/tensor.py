@@ -22,8 +22,7 @@ _default_dtype = np.dtype(np.float32)
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the dtype (float32 or float64) of parameters built without one and of
-    tensors built from non-float data."""
+    """Set the fallback dtype (float32 or float64) of parameters and non-float tensors."""
     global _default_dtype
     dt = np.dtype(dtype)
     if dt not in FLOAT_DTYPES:
@@ -36,9 +35,11 @@ def get_default_dtype() -> np.dtype:
 
 
 def as_float_array(data, dtype=None) -> np.ndarray:
-    """Coerce input to a float ndarray; non-float input adopts the default dtype."""
+    """Coerce input to a float32/float64 ndarray; non-float input without a dtype adopts the default."""
     arr = np.asarray(data, dtype=dtype)
     if arr.dtype not in FLOAT_DTYPES:
+        if dtype is not None:
+            raise ValueError(f"dtype must be float32 or float64, got {arr.dtype}")
         arr = arr.astype(_default_dtype)
     return arr
 

@@ -1,6 +1,5 @@
 """End-to-end command-line flows against tiny configurations."""
 
-import hashlib
 import json
 import os
 
@@ -279,12 +278,13 @@ def test_no_engine_path_sets_the_default_dtype(tmp_path, monkeypatch):
     assert mlaan.build_backbone(6, 4, 10, (1, 12, 12)).parameters()[0].data.dtype == np.float32
 
 
-def _param_digest(trainer) -> str:
-    h = hashlib.sha256()
-    for p in trainer.all_params:
-        h.update(p.name.encode())
-        h.update(p.data.tobytes())
-    return h.hexdigest()
+@pytest.mark.parametrize("dtype", [np.float16, "int32"])
+def test_a_non_float_precision_is_refused(dtype):
+    cfg = mlaan.BackboneConfig(6, 4, 10, (1, 12, 12))
+    with pytest.raises(ValueError, match="dtype must be float32 or float64"):
+        mlaan.Backbone(cfg, 0, dtype)
+    with pytest.raises(ValueError, match="dtype must be float32 or float64"):
+        mlaan.Tensor(np.ones(3), dtype=dtype)
 
 
 def test_trainers_of_two_precisions_stepped_in_turns_match_their_lone_runs(tmp_path):
@@ -300,14 +300,14 @@ def test_trainers_of_two_precisions_stepped_in_turns_match_their_lone_runs(tmp_p
         trainer = build_trainer(cfg)
         for bx, by in batches:
             trainer.step(bx, by, 0.1)
-        return _param_digest(trainer)
+        return [p.data.tobytes() for p in trainer.all_params]
 
     alone = [lone(cfg) for cfg in cfgs]
     pair = [build_trainer(cfg) for cfg in cfgs]
     for bx, by in batches:
         for trainer in pair:
             trainer.step(bx, by, 0.1)
-    assert [_param_digest(t) for t in pair] == alone
+    assert [[p.data.tobytes() for p in t.all_params] for t in pair] == alone
     assert {p.data.dtype for p in pair[0].all_params} == {np.dtype(np.float64)}
     assert {p.data.dtype for p in pair[1].all_params} == {np.dtype(np.float32)}
 
