@@ -13,11 +13,13 @@ pool and `sum_all` keep shapes only. An output no closure reads (the fused
 conv's, a batch norm's, a residual sum) is freed once its consumer has run.
 
 Convolution uses the cross-correlation convention (no kernel flip) and works
-channels-last: one copy of the input into kh·kw·C patch rows, then one GEMM.
-Its NCHW outputs are views of NHWC results, so the next conv needs no
-transpose. dx correlates the stride-dilated gradient with the flipped,
-channel-swapped kernel. No gradient is computed for an input or a kernel that
-does not require one (the stem's image, the frozen EMA twins).
+channels-last. The forward copies whole images into kh·kw·C patch rows a
+block of at least `_BLOCK_ROWS` rows at a time, one GEMM per block; the
+backward copies the whole batch, as dW needs every row and a blockwise dW
+has other bits. NCHW outputs are views of NHWC results, so the next conv
+needs no transpose. dx correlates the stride-dilated gradient with the
+flipped, channel-swapped kernel. No gradient is computed for an input or a
+kernel that does not require one (the stem's image, the frozen EMA twins).
 
 Per-channel ops (batch norm, the 4-d bias gradient, global pooling) meet those
 NHWC-memory arrays too. numpy reduces and broadcasts them one pixel (C
@@ -179,6 +181,11 @@ def _conv_geometry(xshape, wshape, stride, pad):
     return ho + 1, wo + 1
 
 
+# Least patch rows per forward GEMM, in whole images: OpenBLAS gives GEMMs of
+# ≤ 148 rows another kernel and other bits, so a short remainder joins a block.
+_BLOCK_ROWS = 4096
+
+
 def _patches(x, kh, kw, stride, pad, dilate=1):
     """Rows of kh×kw windows over the N×C×H×W array `x`, channels fastest:
     (N·Ho·Wo, kh·kw·C). `x` is first dilated (dilate-1 zeros between pixels),
@@ -204,6 +211,18 @@ def _conv_gemm(cols, wd, n, ho, wo):
             ).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
 
 
+def _conv_forward(xd, wd, stride, pad, ho, wo):
+    """`_conv_gemm` of the input's patch matrix, built one block of images at a time."""
+    n, f, (kh, kw) = xd.shape[0], wd.shape[0], wd.shape[2:]
+    step = -(-_BLOCK_ROWS // (ho * wo))
+    cuts = [b * step for b in range(max(n // step, 1))] + [n]
+    out = np.empty((n, ho, wo, f), np.result_type(xd, wd))
+    wm = wd.transpose(0, 2, 3, 1).reshape(f, -1).T
+    for i, j in zip(cuts, cuts[1:]):
+        np.matmul(_patches(xd[i:j], kh, kw, stride, pad), wm, out=out[i:j].reshape(-1, f))
+    return out.transpose(0, 3, 1, 2)
+
+
 def _conv_dw(g, cols, wd):
     f, c, kh, kw = wd.shape
     return (g.transpose(0, 2, 3, 1).reshape(-1, f).T @ cols
@@ -224,7 +243,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {xd.shape}, {wd.shape}")
     (kh, kw), (ho, wo) = wd.shape[2:], _conv_geometry(xd.shape, wd.shape, stride, pad)
-    out = _conv_gemm(_patches(xd, kh, kw, stride, pad), wd, xd.shape[0], ho, wo)
+    out = _conv_forward(xd, wd, stride, pad, ho, wo)
     # dx reads the kernel (a parameter); only dW reads the input
     need_dx, xshape, xd = x.requires_grad, xd.shape, (xd if w.requires_grad else None)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mlaan
+from mlaan import ops
 
 
 @pytest.fixture(autouse=True)
@@ -28,3 +29,16 @@ def make_trainer(kind="mlaan", K=3, depth=8, width=4, seed=9, k=2, p=1, r=0.9,
 @pytest.fixture
 def trainer_factory():
     return make_trainer
+
+
+def record_patch_rows(monkeypatch):
+    """The row counts of every patch matrix `ops._patches` builds from now on."""
+    rows, inner = [], ops._patches
+
+    def recording(*args, **kwargs):
+        cols = inner(*args, **kwargs)
+        rows.append(cols.shape[0])
+        return cols
+
+    monkeypatch.setattr(ops, "_patches", recording)
+    return rows

@@ -14,7 +14,7 @@ from mlaan.network import partition, warmup_batch_stats
 from mlaan.optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
 from mlaan.rng import named_stream
 from mlaan.tensor import Graph, Parameter, Tensor
-from conftest import make_trainer
+from conftest import make_trainer, record_patch_rows
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +233,41 @@ def test_module_features_shapes_and_composition(tiny_data):
         h = m.forward_body(h, training=False)
         assert f.shape == (10, h.shape[1])
         assert np.allclose(f, h.data.mean(axis=(2, 3)), atol=1e-6)
+
+
+def count_conv_calls(monkeypatch):
+    calls, inner = [], ops.conv2d
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", counted)
+    return calls
+
+
+def test_evaluate_builds_patch_matrices_in_blocks(monkeypatch):
+    """eval's conv forwards copy at most one block of images into patch rows."""
+    net = mlaan.build_backbone(18, 8, 10, (1, 12, 12), seed=0)
+    x = np.random.default_rng(0).standard_normal((256, 1, 12, 12)).astype(np.float32)
+    warmup_batch_stats(net, x[:16])
+    calls, rows = count_conv_calls(monkeypatch), record_patch_rows(monkeypatch)
+    mlaan.evaluate(net, x, np.zeros(256, np.int64))
+    assert len(calls) == 17  # one chunk of 256 through a depth-18 network
+    assert sum(rows) == 17 * 256 * 144 and max(rows) < 2 * ops._BLOCK_ROWS + 144
+
+
+@pytest.mark.parametrize("shape,width", [((1, 12, 12), 8), ((3, 32, 32), 16)])
+def test_module_features_build_patch_matrices_in_blocks(shape, width, monkeypatch):
+    """So do the feature passes of probe and cka, at the desk and CIFAR shapes."""
+    net = mlaan.build_backbone(6, width, 10, shape, seed=0)
+    _, modules = partition(net, 2)
+    x = np.random.default_rng(0).standard_normal((64, *shape)).astype(np.float32)
+    warmup_batch_stats(net, x[:16])
+    pixels = shape[1] * shape[2]
+    rows = record_patch_rows(monkeypatch)
+    module_features(modules, x)
+    assert sum(rows) == 5 * 64 * pixels and max(rows) < 2 * ops._BLOCK_ROWS + pixels
 
 
 def test_module_features_batch_size_is_keyword_only(tiny_data):

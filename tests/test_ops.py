@@ -1,8 +1,10 @@
 """Forward-value oracles for the tensor ops, independent of the tape, a
 direct-loop gradient oracle for conv2d, and the 4-d reference kernels that
-the per-channel ops must match bit for bit."""
+the per-channel ops must match bit for bit, as the blocked conv forward must
+match one GEMM over the whole batch."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from mlaan import ops
 from mlaan.errors import ConfigError, DataError, GraphError, ShapeError
 from mlaan.tensor import Graph, Parameter, Tensor
+from conftest import record_patch_rows
 
 
 def t(data, dtype=np.float64):
@@ -590,3 +593,68 @@ class TestConvBatchNorm:
         for a, b in zip(got, want):
             assert a is None or same_bits(a, b)
         assert all(q.grad.any() != frozen for q in (w, gamma, beta))
+
+
+# ---------------------------------------------------------------------------
+# the blocked conv forward against one GEMM over the whole batch
+# ---------------------------------------------------------------------------
+
+def reference_conv2d(x, w, stride=1, pad=1):
+    """conv2d as one patch copy and one GEMM over the whole batch; the
+    backward is the op's own."""
+    xd, wd = x.data, w.data
+    (n, c, h, width), (f, _, kh, kw) = xd.shape, wd.shape
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))).transpose(0, 2, 3, 1)
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    ho, wo = win.shape[1:3]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * c)
+    out = (cols @ wd.transpose(0, 2, 3, 1).reshape(f, -1).T
+           ).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+
+    def backward(g):
+        return (ops._conv_dx(g, wd, xd.shape, stride, pad),
+                ops._conv_dw(g, ops._patches(xd, kh, kw, stride, pad), wd))
+
+    return ops._result("conv2d", (x, w), out, backward, (xd,))
+
+
+class TestBlockedConvForward:
+    @staticmethod
+    def run(kernel, x, w, g):
+        """Output, then the recorded backward's dx and dW on `g`."""
+        xt, wt = Tensor(x, requires_grad=True), Parameter("w", w, dtype=w.dtype)
+        with Graph("g"):
+            out = kernel(xt, wt)
+        return [out.data, *out.node.backward_fn(g)]
+
+    # (channels, side, filters): the desk stem and units, the CIFAR stem and units
+    @pytest.mark.parametrize("c,side,f", [(1, 12, 8), (8, 12, 8), (3, 32, 16), (16, 32, 16)])
+    @pytest.mark.parametrize("n", [1, 2, 28, 29, 30, 57, 58, 64, 130, 256])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_one_gemm_bitwise(self, dtype, n, c, side, f, monkeypatch):
+        gen = np.random.default_rng(n * 100 + c)
+        x = gen.standard_normal((n, c, side, side)).astype(dtype)
+        w = gen.standard_normal((f, c, 3, 3)).astype(dtype)
+        g = laid_out(gen.standard_normal((n, f, side, side)).astype(dtype), "nhwc")
+        want = self.run(reference_conv2d, x, w, g)
+        rows = record_patch_rows(monkeypatch)
+        got = self.run(ops.conv2d, x, w, g)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+        # the forward's blocks, then dW's and dx's whole-batch matrices; a
+        # short remainder (n=30 and 57 at 12×12) joins the block before it
+        blocks, total = rows[:-2], n * side * side
+        assert rows[-2:] == [total, total] and sum(blocks) == total
+        assert all(min(total, ops._BLOCK_ROWS) <= r < 2 * ops._BLOCK_ROWS + side * side
+                   for r in blocks)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_lone_image_block_would_move_bits(self, dtype):
+        """Why no block may be short: a 144-row GEMM takes another BLAS kernel,
+        so the last image of 29 split off alone gets other bits."""
+        gen = np.random.default_rng(0)
+        x = Tensor(gen.standard_normal((29, 8, 12, 12)).astype(dtype))
+        w = Tensor(gen.standard_normal((8, 8, 3, 3)).astype(dtype))
+        whole = ops.conv2d(x, w).data
+        assert same_bits(whole, reference_conv2d(x, w).data)
+        assert whole[28:].tobytes() != reference_conv2d(Tensor(x.data[28:]), w).data.tobytes()

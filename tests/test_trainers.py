@@ -6,7 +6,7 @@ import pytest
 import mlaan
 from mlaan import ops
 from mlaan.checkpoint import collect_state
-from mlaan.network import warmup_batch_stats
+from mlaan.network import Backbone, BackboneConfig, warmup_batch_stats
 from mlaan.tensor import Graph, Tensor
 from mlaan.training import eq10_update, eq11_update
 from conftest import make_trainer
@@ -525,6 +525,19 @@ def test_evaluate_error_matches_hand_count(tiny_data):
     hand = float(np.mean(np.asarray(preds) != tiny_data.test_y))
     assert out["test_error"] == pytest.approx(hand, abs=1e-12)
     assert set(out["per_class_accuracy"]) == set(range(10))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_logits_do_not_depend_on_chunking(tiny_data, dtype):
+    """130 images in one forward or in chunks of 7 (the last one 4 images) give
+    the same logits to the bit: every conv GEMM keeps over 148 rows."""
+    net = Backbone(BackboneConfig(), seed=0, dtype=dtype)
+    warmup_batch_stats(net, tiny_data.train_x[:16].astype(dtype))
+    x = np.random.default_rng(1).standard_normal((130, 1, 12, 12)).astype(dtype)
+    whole = net.forward(Tensor(x), training=False).data
+    chunked = np.concatenate([net.forward(Tensor(x[at:at + 7]), training=False).data
+                              for at in range(0, 130, 7)])
+    assert whole.dtype == dtype and whole.tobytes() == chunked.tobytes()
 
 
 def test_evaluate_rejects_empty():
