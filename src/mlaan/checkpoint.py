@@ -3,7 +3,8 @@
 Layout (all integers little-endian):
 
     "MLNN" | version u32 | precision u8 | step u64 | epoch u32 | count u32
-    | sha256 hex digest of the entry blob (64 ascii bytes) | entry blob
+    | metadata length u64 | sha256 hex digest of the body (64 ascii bytes)
+    | body: JSON metadata, then the entry blob
 
 Each entry:
 
@@ -11,9 +12,11 @@ Each entry:
     | nbytes u64 | raw little-endian payload
 
 Entries cover every parameter (`param/`), momentum buffers for trainable
-parameters (`vel/`), and batch-norm running statistics (`buf/`). A JSON
-sidecar at `<path>.json` carries the config, RNG state, and metrics rows
-needed to resume bitwise.
+parameters (`vel/`), and batch-norm running statistics (`buf/`). The
+metadata carries the config, RNG state, metrics rows and skipped steps
+needed to resume bitwise; step and epoch live only in the header. A save
+commits with one rename, then writes a copy of the metadata to
+`<path>.json` for people to read; loading never reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ import numpy as np
 from .errors import CheckpointError
 
 MAGIC = b"MLNN"
-VERSION = 1
+VERSION = 2
+_HEADER = "<IBQIIQ"
+_META_KEYS = ("config", "rng", "metrics", "skipped_steps")
 
 _PRECISION_CODES = {"float32": 0, "float64": 1}
 _PRECISION_NAMES = {v: k for k, v in _PRECISION_CODES.items()}
@@ -77,37 +82,32 @@ def _pack_entries(state: dict) -> bytes:
 def save_checkpoint(path: str, trainer, config_dict: dict, recorder=None,
                     epoch: int = 0) -> None:
     state = collect_state(trainer)
-    blob = _pack_entries(state)
-    digest = hashlib.sha256(blob).hexdigest().encode("ascii")
-    precision = _PRECISION_CODES[str(trainer.backbone.dtype)]
-    header = MAGIC + struct.pack("<IBQII", VERSION, precision,
-                                 trainer.step_index, epoch, len(state))
     from .rng import generator_state
-    sidecar = {
+    meta = json.dumps({
         "config": config_dict,
-        "step": trainer.step_index,
-        "epoch": epoch,
         "rng": {"shuffle": generator_state(trainer.shuffle_gen)},
         "metrics": recorder.rows if recorder is not None else [],
         "skipped_steps": trainer.skipped_steps,
-    }
+    }, indent=1).encode()
+    body = meta + _pack_entries(state)
+    precision = _PRECISION_CODES[str(trainer.backbone.dtype)]
+    header = MAGIC + struct.pack(_HEADER, VERSION, precision, trainer.step_index, epoch,
+                                 len(state), len(meta))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    # temp files renamed over the targets, blob first: a save cut short keeps the old one
-    temps = {path + ".tmp": header + digest + blob,
-             path + ".json.tmp": json.dumps(sidecar, indent=1).encode()}
+    # a temp file renamed over the target: a save cut short keeps the old checkpoint
+    tmp = path + ".tmp"
     try:
-        for tmp, data in temps.items():
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-        for tmp in temps:
-            os.replace(tmp, tmp.removesuffix(".tmp"))
+        with open(tmp, "wb") as fh:
+            fh.write(header + hashlib.sha256(body).hexdigest().encode("ascii") + body)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except BaseException:
-        for tmp in temps:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        if os.path.exists(tmp):
+            os.remove(tmp)
         raise
+    with open(path + ".json", "wb") as fh:
+        fh.write(meta)
 
 
 @dataclass
@@ -118,7 +118,7 @@ class Checkpoint:
     step: int
     epoch: int
     arrays: dict
-    sidecar: dict
+    sidecar: dict  # the embedded metadata: config, rng, metrics, skipped_steps
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -127,20 +127,27 @@ def load_checkpoint(path: str) -> Checkpoint:
             raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
-    head_len = 4 + struct.calcsize("<IBQII")
+    head_len = 4 + struct.calcsize(_HEADER)
     if len(raw) < head_len + 64:
         raise CheckpointError(f"{path}: truncated header")
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
-    version, precision, step, epoch, count = struct.unpack_from("<IBQII", raw, 4)
+    version, precision, step, epoch, count, meta_len = struct.unpack_from(_HEADER, raw, 4)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     if precision not in _PRECISION_NAMES:
         raise CheckpointError(f"{path}: unknown precision code {precision}")
     digest = raw[head_len:head_len + 64]
-    blob = raw[head_len + 64:]
-    if hashlib.sha256(blob).hexdigest().encode("ascii") != digest:
+    body = raw[head_len + 64:]
+    if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
         raise CheckpointError(f"{path}: digest mismatch (corrupt payload)")
+    try:
+        meta = json.loads(body[:meta_len].decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: metadata is not valid JSON: {exc}")
+    if not isinstance(meta, dict) or not all(k in meta for k in _META_KEYS):
+        raise CheckpointError(f"{path}: metadata is not a JSON object with keys {_META_KEYS}")
+    blob = body[meta_len:]
 
     arrays = {}
     at = 0
@@ -168,25 +175,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         arrays[name] = np.frombuffer(payload, dtype=dt.newbyteorder("<")).astype(dt).reshape(dims)
     if at != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - at} trailing bytes after entries")
-
-    sidecar = None
-    if os.path.exists(path + ".json"):
-        try:
-            with open(path + ".json", encoding="utf-8") as fh:
-                sidecar = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}.json: not valid JSON: {exc}")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CheckpointError(f"cannot read sidecar {path}.json: {exc}")
-        if not isinstance(sidecar, dict):
-            raise CheckpointError(f"{path}.json: the sidecar is not a JSON object")
-        # the two files are renamed one after the other; a save cut between leaves a stale sidecar
-        if (sidecar.get("epoch"), sidecar.get("step")) != (epoch, step):
-            raise CheckpointError(
-                f"{path}: the checkpoint is from epoch {epoch} (step {step}) but its sidecar "
-                f"is from epoch {sidecar.get('epoch')} (step {sidecar.get('step')})")
     return Checkpoint(path, version, _PRECISION_NAMES[precision], step, epoch,
-                      arrays, sidecar)
+                      arrays, meta)
 
 
 def restore_into(trainer, ckpt: Checkpoint) -> None:
@@ -206,8 +196,6 @@ def restore_into(trainer, ckpt: Checkpoint) -> None:
     for bn in trainer.backbone.batchnorms():
         bn.initialized = bool(ckpt.arrays[f"buf/{bn.name}.initialized"][0])
     trainer.step_index = ckpt.step
-    if ckpt.sidecar and "rng" in ckpt.sidecar:
-        from .rng import restore_generator
-        trainer.shuffle_gen = restore_generator(ckpt.sidecar["rng"]["shuffle"])
-    if ckpt.sidecar:
-        trainer.skipped_steps = [tuple(s) for s in ckpt.sidecar.get("skipped_steps", [])]
+    from .rng import restore_generator
+    trainer.shuffle_gen = restore_generator(ckpt.sidecar["rng"]["shuffle"])
+    trainer.skipped_steps = [tuple(s) for s in ckpt.sidecar["skipped_steps"]]

@@ -94,9 +94,6 @@ def _write_json(path: str, payload) -> None:
 def _load_trained(path: str):
     """Checkpoint -> (config, trainer with restored state, checkpoint)."""
     ckpt = ckpt_mod.load_checkpoint(path)
-    if not ckpt.sidecar or "config" not in ckpt.sidecar:
-        raise CheckpointError(f"{path}: missing JSON sidecar with config; "
-                              "cannot rebuild the network")
     cfg = config_from_dict(ckpt.sidecar["config"])
     trainer = build_trainer(cfg)
     ckpt_mod.restore_into(trainer, ckpt)
@@ -144,7 +141,7 @@ def cmd_train(args) -> int:
     if args.resume:
         cfg, trainer, ckpt = _load_trained(args.resume)
         start_epoch = ckpt.epoch
-        for row in ckpt.sidecar.get("metrics", []):
+        for row in ckpt.sidecar["metrics"]:
             recorder.append(**row)
     else:
         if not args.config:

@@ -242,8 +242,3 @@ def resync_replicas(pair: LeapReplicaPair) -> None:
     for src, dst in zip(pair.sources, pair.phi_prime):
         for sp, dp in zip(src.parameters(), dst.parameters()):
             np.copyto(dp.data, sp.data)
-
-
-def warmup_batch_stats(backbone: Backbone, x: np.ndarray) -> None:
-    """One statistics-only training-mode forward, for evaluating untrained nets."""
-    backbone.forward(Tensor(x), training=True, update_stats=True)

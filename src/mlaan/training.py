@@ -116,10 +116,10 @@ def evaluate(backbone: Backbone, x: np.ndarray, y: np.ndarray, batch_size: int =
     if n == 0:
         raise DataError("evaluate called on an empty dataset")
     preds = np.empty(n, dtype=np.int64)
-    for at in range(0, n, batch_size):
-        chunk = x[at:at + batch_size]
-        logits = backbone.forward(Tensor(chunk), training=False).data
-        preds[at:at + len(chunk)] = logits.argmax(axis=1)
+    # a short last chunk joins the one before it, so no image goes through alone
+    cuts = [b * batch_size for b in range(max(n // batch_size, 1))] + [n]
+    for i, j in zip(cuts, cuts[1:]):
+        preds[i:j] = backbone.forward(Tensor(x[i:j]), training=False).data.argmax(axis=1)
     wrong = preds != y
     per_class = {}
     for c in np.unique(y):

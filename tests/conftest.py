@@ -26,6 +26,11 @@ def make_trainer(kind="mlaan", K=3, depth=8, width=4, seed=9, k=2, p=1, r=0.9,
     return mlaan.Trainer(net, K, mode, mlaan.OptimizerConfig(lr=lr), seed=seed)
 
 
+def warmup_batch_stats(backbone, x):
+    """One statistics-only training-mode forward, for evaluating untrained nets."""
+    backbone.forward(mlaan.Tensor(x), training=True)
+
+
 @pytest.fixture
 def trainer_factory():
     return make_trainer

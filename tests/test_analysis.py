@@ -10,11 +10,11 @@ import mlaan
 from mlaan import ops
 from mlaan.analysis import CSV_HEADER, module_features
 from mlaan.layers import Linear
-from mlaan.network import partition, warmup_batch_stats
+from mlaan.network import partition
 from mlaan.optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
 from mlaan.rng import named_stream
 from mlaan.tensor import Graph, Parameter, Tensor
-from conftest import make_trainer, record_patch_rows
+from conftest import make_trainer, record_patch_rows, warmup_batch_stats
 
 
 # ---------------------------------------------------------------------------

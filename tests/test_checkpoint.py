@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mlaan
-from mlaan.checkpoint import _pack_entries, collect_state
+from mlaan.checkpoint import _HEADER, _pack_entries, collect_state
 from conftest import make_trainer
 
 
@@ -31,12 +31,13 @@ def test_round_trip_is_bitwise(tmp_path):
     mlaan.save_checkpoint(path, tr, {"note": "cfg"}, recorder=rec, epoch=4)
 
     ckpt = mlaan.load_checkpoint(path)
-    assert ckpt.version == 1
+    assert ckpt.version == 2
     assert ckpt.precision == "float32"
     assert ckpt.step == 3
     assert ckpt.epoch == 4
     assert ckpt.sidecar["config"] == {"note": "cfg"}
     assert ckpt.sidecar["metrics"] == rec.rows
+    assert ckpt.sidecar["skipped_steps"] == []
 
     fresh = make_trainer("mlaan", K=3, k=2, p=1, seed=4)  # different init
     mlaan.restore_into(fresh, ckpt)
@@ -103,11 +104,18 @@ def test_unsupported_version_rejected(tmp_path):
         mlaan.load_checkpoint(str(path))
 
 
-def rewrite_blob(path, blob):
-    """Replace the entry blob of the checkpoint at `path`, with a matching digest."""
+def rewrite_blob(path, blob=None, meta=None):
+    """Replace the entry blob or the metadata of the checkpoint at `path`,
+    with a matching digest."""
     raw = open(path, "rb").read()
-    header = raw[:4 + struct.calcsize("<IBQII")]
-    open(path, "wb").write(header + hashlib.sha256(blob).hexdigest().encode() + blob)
+    at = 4 + struct.calcsize(_HEADER)
+    fields = list(struct.unpack_from(_HEADER, raw, 4))
+    end = at + 64 + fields[-1]
+    meta = raw[at + 64:end] if meta is None else meta
+    body = meta + (raw[end:] if blob is None else blob)
+    fields[-1] = len(meta)
+    open(path, "wb").write(raw[:4] + struct.pack(_HEADER, *fields)
+                           + hashlib.sha256(body).hexdigest().encode() + body)
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -181,17 +189,26 @@ def test_save_into_nested_directory(tmp_path):
 
 @pytest.mark.parametrize("text,fragment", [('{"config": ', "not valid JSON"),
                                            ("[1]", "not a JSON object"),
-                                           (b'{"step": "\xff"}', "cannot read sidecar"),
-                                           (None, "cannot read sidecar")])  # None: a directory
+                                           (b'{"step": "\xff"}', "not valid JSON"),
+                                           ('{"config": {}}', "not a JSON object with keys")])
 def test_malformed_sidecar_rejected(tmp_path, text, fragment):
+    """Metadata under a matching digest that is not the JSON object a save writes."""
     tr = trained(steps=1)
     path = str(tmp_path / "c.mlnn")
     mlaan.save_checkpoint(path, tr, {})
-    sidecar = tmp_path / "c.mlnn.json"
-    sidecar.unlink()
-    if text is None:
-        sidecar.mkdir()
-    else:
-        sidecar.write_bytes(text.encode() if isinstance(text, str) else text)
+    rewrite_blob(path, meta=text.encode() if isinstance(text, str) else text)
     with pytest.raises(mlaan.CheckpointError, match=fragment):
+        mlaan.load_checkpoint(path)
+
+
+def test_version_one_file_is_refused(tmp_path):
+    """A version 1 file: its header lacks the metadata length, and its
+    config sat in a separate sidecar file."""
+    tr = trained(steps=1)
+    path = str(tmp_path / "v1.mlnn")
+    state = collect_state(tr)
+    blob = _pack_entries(state)
+    header = b"MLNN" + struct.pack("<IBQII", 1, 0, tr.step_index, 0, len(state))
+    open(path, "wb").write(header + hashlib.sha256(blob).hexdigest().encode() + blob)
+    with pytest.raises(mlaan.CheckpointError, match="unsupported version 1"):
         mlaan.load_checkpoint(path)

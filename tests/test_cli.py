@@ -108,27 +108,66 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch, cut):
     assert [r["epoch"] for r in rec.rows] == [1, 2]
 
 
-def test_save_cut_between_renames_is_refused(tmp_path, monkeypatch, capsys):
+class CutWrite:
+    """A file whose write keeps the first half of the data, then fails."""
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("injected: power cut")
+
+
+@pytest.mark.parametrize("boundary,survivor", [("write", 1), ("fsync", 1), ("replace", 1),
+                                               ("copy", 2)])
+def test_save_cut_at_each_boundary_leaves_a_checkpoint(tmp_path, monkeypatch, boundary,
+                                                       survivor):
+    """Epoch 2's save is cut partway through writing its temp file, at the
+    temp file's fsync, at the rename that commits it, or while writing the
+    `.json` copy: a checkpoint still loads, and --resume finishes the run."""
     cfg_path = write_config(tmp_path, run={"epochs": 2, "seed": 0, "batch_size": 16})
     ckpt_path = str(tmp_path / "out" / "checkpoint.mlnn")
-    real_replace, sidecars = os.replace, []
+    real_open, real_fsync, real_replace, hits = open, os.fsync, os.replace, []
 
-    def fail_second_sidecar(src, dst):
-        if dst == ckpt_path + ".json":
-            sidecars.append(dst)
-            if len(sidecars) == 2:
-                raise OSError("injected: power cut")
+    def second_hit():
+        hits.append(1)
+        return len(hits) == 2
+
+    def cut_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        target = ckpt_path + (".json" if boundary == "copy" else ".tmp")
+        return CutWrite(fh) if str(path) == target and second_hit() else fh
+
+    def cut_fsync(fd):
+        if second_hit():
+            raise OSError("injected: power cut")
+        real_fsync(fd)
+
+    def cut_replace(src, dst):
+        if dst == ckpt_path and second_hit():
+            raise OSError("injected: power cut")
         real_replace(src, dst)
 
-    monkeypatch.setattr(mlaan.checkpoint.os, "replace", fail_second_sidecar)
+    if boundary in ("write", "copy"):
+        monkeypatch.setattr(mlaan.checkpoint, "open", cut_open, raising=False)
+    else:
+        cut = cut_fsync if boundary == "fsync" else cut_replace
+        monkeypatch.setattr(mlaan.checkpoint.os, boundary, cut)
     assert main(["train", "--config", cfg_path]) == 2
     monkeypatch.undo()
-    capsys.readouterr()
-    # epoch 2's blob is in place next to epoch 1's sidecar
-    with pytest.raises(mlaan.CheckpointError, match=r"epoch 2 \(step 6\).*epoch 1 \(step 3\)"):
-        mlaan.load_checkpoint(ckpt_path)
-    assert main(["train", "--resume", ckpt_path]) == 1
-    assert "sidecar is from epoch 1" in capsys.readouterr().err
+    assert len(hits) == 2
+    assert not os.path.exists(ckpt_path + ".tmp")
+    assert mlaan.load_checkpoint(ckpt_path).epoch == survivor
+    assert main(["train", "--resume", ckpt_path]) == 0
+    assert mlaan.load_checkpoint(ckpt_path).epoch == 2
+    rec = mlaan.MetricsRecorder.from_csv(str(tmp_path / "out" / "metrics.csv"))
+    assert [r["epoch"] for r in rec.rows] == [1, 2]
 
 
 def test_train_reports_each_skipped_step(tmp_path, monkeypatch, capsys):
@@ -171,12 +210,46 @@ def test_train_reports_each_skipped_step(tmp_path, monkeypatch, capsys):
                    "skipped step 6: injected at call 7"]
 
 
-def test_resume_without_sidecar_exits_one(trained_run, capsys):
-    _, out = trained_run
-    ckpt_path = os.path.join(out, "checkpoint.mlnn")
+def test_json_copy_is_never_read(tmp_path, monkeypatch, capsys):
+    """Deleting or corrupting `checkpoint.mlnn.json` changes no output or exit
+    code of train --resume, eval, probe or cka."""
+    real_save = mlaan.checkpoint.save_checkpoint
+
+    def cut_at_epoch_two(path, trainer, config_dict, recorder, epoch):
+        if epoch == 2:
+            raise mlaan.MlaanError("injected: power cut")
+        real_save(path, trainer, config_dict, recorder, epoch)
+
+    # a run stopped after epoch 1's checkpoint, so that --resume trains an epoch
+    monkeypatch.setattr(mlaan.checkpoint, "save_checkpoint", cut_at_epoch_two)
+    assert main(["train", "--config", write_config(tmp_path, run={"epochs": 2, "seed": 0})]) == 2
+    monkeypatch.undo()
+    ckpt_path = str(tmp_path / "out" / "checkpoint.mlnn")
+
+    def run_all(tag):
+        out = str(tmp_path / tag)
+        capsys.readouterr()
+        codes = [main(["train", "--resume", ckpt_path, "--out", out]),
+                 main(["eval", "--checkpoint", ckpt_path, "--dataset", "synthetic", "--out", out]),
+                 main(["probe", "--checkpoint", ckpt_path, "--all", "--out", out]),
+                 main(["cka", "--checkpoint-a", ckpt_path, "--checkpoint-b", ckpt_path,
+                       "--out", out])]
+        printed = capsys.readouterr().out.replace(out, "OUT")
+        written = [open(os.path.join(out, name), "rb").read()
+                   for name in ("eval.json", "probe.json", "cka.json")]
+        resumed = mlaan.load_checkpoint(os.path.join(out, "checkpoint.mlnn"))
+        rows = [{k: v for k, v in row.items() if k != "wall_time_s"}
+                for row in mlaan.MetricsRecorder.from_csv(os.path.join(out, "metrics.csv")).rows]
+        return (codes, printed, written, rows,
+                {name: arr.tobytes() for name, arr in resumed.arrays.items()})
+
+    intact = run_all("intact")
+    assert intact[0] == [0, 0, 0, 0] and [r["epoch"] for r in intact[3]] == [1, 2]
     os.remove(ckpt_path + ".json")
-    assert main(["train", "--resume", ckpt_path]) == 1
-    assert "sidecar" in capsys.readouterr().err
+    assert run_all("deleted") == intact
+    with open(ckpt_path + ".json", "w") as fh:
+        fh.write('{"config": ')
+    assert run_all("corrupted") == intact
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -6,12 +6,12 @@ import pytest
 import mlaan.ops as ops
 from mlaan.errors import ConfigError, StateError
 from mlaan.layers import AuxHead, BatchNorm2d, Conv2d, Linear
-from mlaan.network import (build_backbone, build_leap_replicas, partition, resync_replicas,
-                           warmup_batch_stats)
+from mlaan.network import build_backbone, build_leap_replicas, partition, resync_replicas
 from mlaan.optim import OptimizerConfig
 from mlaan.rng import named_stream
 from mlaan.tensor import Graph, Tensor
 from mlaan.training import Trainer, TrainerMode
+from conftest import warmup_batch_stats
 
 
 def backbone(depth=18, width=4, seed=0, image=8):

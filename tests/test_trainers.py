@@ -6,10 +6,10 @@ import pytest
 import mlaan
 from mlaan import ops
 from mlaan.checkpoint import collect_state
-from mlaan.network import Backbone, BackboneConfig, warmup_batch_stats
+from mlaan.network import Backbone, BackboneConfig
 from mlaan.tensor import Graph, Tensor
 from mlaan.training import eq10_update, eq11_update
-from conftest import make_trainer
+from conftest import make_trainer, warmup_batch_stats
 from test_ops import (reference_batchnorm2d_eval, reference_batchnorm2d_train,
                       reference_bias_add, reference_global_avg_pool)
 
@@ -538,6 +538,24 @@ def test_eval_logits_do_not_depend_on_chunking(tiny_data, dtype):
     chunked = np.concatenate([net.forward(Tensor(x[at:at + 7]), training=False).data
                               for at in range(0, 130, 7)])
     assert whole.dtype == dtype and whole.tobytes() == chunked.tobytes()
+
+
+@pytest.mark.parametrize("n,sizes", [(100, [100]), (257, [257]), (512, [256, 256]),
+                                     (513, [256, 257])])
+def test_evaluate_joins_a_short_last_chunk(tiny_data, monkeypatch, n, sizes):
+    """A remainder rides with the last full chunk, as `ops._conv_forward`'s
+    blocks do: no image goes through alone and takes BLAS's short-GEMM kernel."""
+    net = Backbone(BackboneConfig(depth=6), seed=0)
+    warmup_batch_stats(net, tiny_data.train_x[:16])
+    seen, forward = [], Backbone.forward
+
+    def recording(self, x, *args, **kwargs):
+        seen.append(len(x.data))
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(Backbone, "forward", recording)
+    mlaan.evaluate(net, np.zeros((n, 1, 12, 12), np.float32), np.zeros(n, np.int64))
+    assert seen == sizes
 
 
 def test_evaluate_rejects_empty():
