@@ -4,7 +4,9 @@ Every layer takes its parameters' dtype when built (None: the default dtype)
 and an explicit `training` flag on call rather than holding a global mode.
 A batch-norm layer takes the bias-free conv in front of it and that conv's
 input, and trains the pair as one op that keeps the input, not the conv
-output; `update_stats=False` leaves its running statistics alone.
+output; `update_stats=False` leaves its running statistics alone. In eval mode
+it folds its running statistics into that conv's kernel and a per-channel
+bias, so the pair runs as one conv and one in-place bias pass.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class BatchNorm2d:
             if not self.initialized:
                 raise StateError(f"batch norm {self.name!r} evaluated before any "
                                  "training statistics exist")
-            return ops.batchnorm2d_eval(conv(x), self.gamma, self.beta,
-                                        self.running_mean, self.running_var)
+            return ops.conv_batchnorm2d_eval(x, conv.w, self.gamma, self.beta,
+                                             self.running_mean, self.running_var)
         out, mu, var = ops.conv_batchnorm2d_train(x, conv.w, self.gamma, self.beta)
         if update_stats:
             if self.initialized:

@@ -12,6 +12,11 @@ other one wants a gradient; the loss its probabilities. The additions, the
 pool and `sum_all` keep shapes only. An output no closure reads (the fused
 conv's, a batch norm's, a residual sum) is freed once its consumer has run.
 
+In eval mode batch norm is a fixed affine map per channel, so it is folded into
+the conv in front of it: `conv_batchnorm2d_eval` scales the kernel by γ/σ and
+adds β − μγ/σ to the conv output in place, one GEMM per block and one bias
+pass per layer. It is forward-only and refuses to run on a tape.
+
 Convolution uses the cross-correlation convention (no kernel flip) and works
 channels-last. The forward copies whole images into kh·kw·C patch rows a
 block of at least `_BLOCK_ROWS` rows at a time, one GEMM per block; the
@@ -43,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, GraphError, ShapeError
 from .tensor import Graph, Tensor
 
 
@@ -322,8 +327,27 @@ def conv_batchnorm2d_train(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
     return _result("conv_batchnorm2d", (x, w, gamma, beta), out, backward, (xd, mu, inv)), mu, var
 
 
+def conv_batchnorm2d_eval(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
+                          mean: np.ndarray, var: np.ndarray, eps: float = 1e-5) -> Tensor:
+    """`batchnorm2d_eval(conv2d(x, w), gamma, beta, mean, var, eps)` up to
+    rounding, with batch norm folded into the conv: the kernel scaled by
+    s = γ/σ, then β − μ·s added in place to the conv output. Forward-only: on
+    an active tape it raises `GraphError` rather than drop γ, β and dW."""
+    graph = Graph.active()
+    if graph is not None:
+        raise GraphError(f"conv_batchnorm2d_eval is forward-only; it cannot run on tape {graph.label!r}")
+    s = gamma.data * (1.0 / np.sqrt(var + eps))
+    out = conv2d(detach(x), Tensor(w.data * s[:, None, None, None])).data
+    (ov,), bcast, back = _channel_layout(out)
+    ov += bcast(beta.data - mean * s)
+    return Tensor(back(ov))
+
+
 def batchnorm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                      mean: np.ndarray, var: np.ndarray, eps: float = 1e-5) -> Tensor:
+    """Running-statistics normalization. No layer calls it, since eval-mode
+    layers run `conv_batchnorm2d_eval`; it stays for its gradients, which
+    acceptance criterion 1 checks, and as the fold's reference."""
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"batchnorm2d expects N×C×H×W, got {xd.shape}")

@@ -247,13 +247,18 @@ def count_conv_calls(monkeypatch):
 
 
 def test_evaluate_builds_patch_matrices_in_blocks(monkeypatch):
-    """eval's conv forwards copy at most one block of images into patch rows."""
+    """eval's conv forwards copy at most one block of images into patch rows,
+    and each carries its batch norm folded in, never the unfolded op."""
     net = mlaan.build_backbone(18, 8, 10, (1, 12, 12), seed=0)
     x = np.random.default_rng(0).standard_normal((256, 1, 12, 12)).astype(np.float32)
     warmup_batch_stats(net, x[:16])
     calls, rows = count_conv_calls(monkeypatch), record_patch_rows(monkeypatch)
+    unfolded, bn_eval = [], ops.batchnorm2d_eval
+    monkeypatch.setattr(ops, "batchnorm2d_eval",
+                        lambda *args, **kwargs: unfolded.append(1) or bn_eval(*args, **kwargs))
     mlaan.evaluate(net, x, np.zeros(256, np.int64))
     assert len(calls) == 17  # one chunk of 256 through a depth-18 network
+    assert not unfolded
     assert sum(rows) == 17 * 256 * 144 and max(rows) < 2 * ops._BLOCK_ROWS + 144
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlaan import ops
+from mlaan.layers import BatchNorm2d, Conv2d
 from mlaan.errors import ConfigError, DataError, GraphError, ShapeError
 from mlaan.tensor import Graph, Parameter, Tensor
 from conftest import record_patch_rows
@@ -593,6 +594,43 @@ class TestConvBatchNorm:
         for a, b in zip(got, want):
             assert a is None or same_bits(a, b)
         assert all(q.grad.any() != frozen for q in (w, gamma, beta))
+
+
+class TestConvBatchNormEval:
+    """Eval-mode batch norm folded into its conv, against the conv and the
+    unfolded batch norm: equal up to rounding, not bit for bit."""
+
+    @staticmethod
+    def layer_pair(c_in, c_out, dtype, seed):
+        gen = np.random.default_rng(seed)
+        conv = Conv2d("conv", c_in, c_out, gen, dtype=dtype)
+        bn = BatchNorm2d("bn", c_out, dtype)
+        bn.gamma.data[...] = gen.uniform(0.5, 1.5, c_out)
+        bn.beta.data[...] = gen.standard_normal(c_out)
+        bn.running_mean[...] = gen.standard_normal(c_out)
+        bn.running_var[...] = gen.uniform(0.2, 3.0, c_out)
+        bn.initialized = True
+        return conv, bn
+
+    # (input channels, input layout): the stem's image, a width-8 unit's input
+    @pytest.mark.parametrize("c_in,layout", [(1, "nchw"), (8, "nhwc")])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_matches_conv_then_batchnorm_eval(self, c_in, layout, dtype, tol):
+        conv, bn = self.layer_pair(c_in, 8, dtype, seed=c_in)
+        x = Tensor(laid_out(np.random.default_rng(5).standard_normal((20, c_in, 12, 12))
+                            .astype(dtype), layout))
+        got = bn(conv, x, training=False).data
+        want = ops.batchnorm2d_eval(ops.conv2d(x, conv.w), bn.gamma, bn.beta,
+                                    bn.running_mean, bn.running_var).data
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_refuses_an_active_tape(self):
+        conv, bn = self.layer_pair(8, 8, np.float64, seed=0)
+        x = Tensor(np.ones((2, 8, 4, 4)))
+        with Graph("g"):
+            with pytest.raises(GraphError, match="forward-only"):
+                bn(conv, x, training=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ from mlaan.network import Backbone, BackboneConfig
 from mlaan.tensor import Graph, Tensor
 from mlaan.training import eq10_update, eq11_update
 from conftest import make_trainer, warmup_batch_stats
-from test_ops import (reference_batchnorm2d_eval, reference_batchnorm2d_train,
-                      reference_bias_add, reference_global_avg_pool)
+from test_ops import reference_batchnorm2d_train, reference_bias_add, reference_global_avg_pool
 
 
 def small_batch(trainer, n=6, seed=0):
@@ -307,7 +306,6 @@ def test_step_matches_the_4d_reference_kernels_bitwise(kind, p, monkeypatch):
 
     got, got_logits = two_steps()
     for name, kernel in (("conv_batchnorm2d_train", reference_conv_batchnorm2d_train),
-                         ("batchnorm2d_eval", reference_batchnorm2d_eval),
                          ("bias_add", reference_bias_add),
                          ("global_avg_pool", reference_global_avg_pool)):
         monkeypatch.setattr(ops, name, kernel)
