@@ -335,12 +335,13 @@ def conv_batchnorm2d_eval(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
     an active tape it raises `GraphError` rather than drop γ, β and dW."""
     graph = Graph.active()
     if graph is not None:
-        raise GraphError(f"conv_batchnorm2d_eval is forward-only; it cannot run on tape {graph.label!r}")
+        raise GraphError("conv_batchnorm2d_eval is forward-only; "
+                         f"it cannot run on tape {graph.label!r}")
     s = gamma.data * (1.0 / np.sqrt(var + eps))
     out = conv2d(detach(x), Tensor(w.data * s[:, None, None, None])).data
-    (ov,), bcast, back = _channel_layout(out)
-    ov += bcast(beta.data - mean * s)
-    return Tensor(back(ov))
+    (rows,), bcast, _ = _channel_layout(out)
+    rows += bcast(beta.data - mean * s)  # rows is a view: out changes in place
+    return Tensor(out)
 
 
 def batchnorm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -235,14 +235,14 @@ def test_module_features_shapes_and_composition(tiny_data):
         assert np.allclose(f, h.data.mean(axis=(2, 3)), atol=1e-6)
 
 
-def count_conv_calls(monkeypatch):
-    calls, inner = [], ops.conv2d
+def count_op_calls(monkeypatch, name):
+    calls, inner = [], getattr(ops, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(ops, "conv2d", counted)
+    monkeypatch.setattr(ops, name, counted)
     return calls
 
 
@@ -252,10 +252,8 @@ def test_evaluate_builds_patch_matrices_in_blocks(monkeypatch):
     net = mlaan.build_backbone(18, 8, 10, (1, 12, 12), seed=0)
     x = np.random.default_rng(0).standard_normal((256, 1, 12, 12)).astype(np.float32)
     warmup_batch_stats(net, x[:16])
-    calls, rows = count_conv_calls(monkeypatch), record_patch_rows(monkeypatch)
-    unfolded, bn_eval = [], ops.batchnorm2d_eval
-    monkeypatch.setattr(ops, "batchnorm2d_eval",
-                        lambda *args, **kwargs: unfolded.append(1) or bn_eval(*args, **kwargs))
+    calls, rows = count_op_calls(monkeypatch, "conv2d"), record_patch_rows(monkeypatch)
+    unfolded = count_op_calls(monkeypatch, "batchnorm2d_eval")
     mlaan.evaluate(net, x, np.zeros(256, np.int64))
     assert len(calls) == 17  # one chunk of 256 through a depth-18 network
     assert not unfolded
