@@ -6,7 +6,9 @@ A batch-norm layer takes the bias-free conv in front of it and that conv's
 input, and trains the pair as one op that keeps the input, not the conv
 output; `update_stats=False` leaves its running statistics alone. In eval mode
 it folds its running statistics into that conv's kernel and a per-channel
-bias, so the pair runs as one conv and one in-place bias pass.
+bias, so the pair runs as one conv and one in-place bias pass, on
+batch-innermost (CHWN) memory: it lays out the stem's images so, and every
+later eval layer gets that layout from the one before it.
 """
 
 from __future__ import annotations

@@ -17,17 +17,17 @@ the conv in front of it: `conv_batchnorm2d_eval` scales the kernel by γ/σ and
 adds β − μγ/σ to the conv output in place, one GEMM per block and one bias
 pass per layer. It is forward-only and refuses to run on a tape.
 
-Convolution uses the cross-correlation convention (no kernel flip) and works
-channels-last. The forward copies whole images into kh·kw·C patch rows a
-block of at least `_BLOCK_ROWS` rows at a time, one GEMM per block; the
-backward copies the whole batch, as dW needs every row and a blockwise dW
-has other bits. NCHW outputs are views of NHWC results, so the next conv
-needs no transpose. dx correlates the stride-dilated gradient with the
-flipped, channel-swapped kernel. No gradient is computed for an input or a
-kernel that does not require one (the stem's image, the frozen EMA twins).
+Convolution uses the cross-correlation convention (no kernel flip). Training
+works channels-last (NHWC memory behind NCHW views): the forward copies whole
+images into kh·kw·C patch rows a block of at least `_BLOCK_ROWS` rows at a
+time, one GEMM per block; the backward copies the whole batch, as dW needs
+every row and a blockwise dW has other bits. dx correlates the
+stride-dilated gradient with the flipped, channel-swapped kernel. No
+gradient is computed for an input or a kernel that does not require one (the
+stem's image, the frozen EMA twins).
 
 Per-channel ops (batch norm, the 4-d bias gradient, global pooling) meet those
-NHWC-memory arrays too. numpy reduces and broadcasts them one pixel (C
+NHWC-memory arrays in training. numpy reduces and broadcasts them one pixel (C
 values) at a time, so on NHWC operands they run at full width instead:
 channel sums through `np.einsum`, channel broadcasts on the (N, H·W·C) row
 view against vectors tiled H·W times. Both give the very bits of the 4-d
@@ -35,6 +35,19 @@ expressions, and they must: einsum walks the memory in the order numpy's own
 reduction does, and a faster sum in any other order re-rolls the trained
 networks that acceptance criterion 6 ranks by a 0.03 error margin.
 NCHW-memory operands keep the 4-d expressions.
+
+Eval works batch-innermost (CHWN memory): the fold lays out the stem's images
+so once, and relu and the residual sum keep the layout. The conv forward
+follows its input's memory order, and on CHWN input it copies K-major patch
+columns, (kh·kw·C) × (Ho·Wo·N), a block of whole output rows at a time, so
+each copied run is an output row across the batch (Wo·N values) where
+channels-last moves kw·C. K is ordered (kh, kw, C), as the channels-last
+rows are, so both GEMMs add each output's products in one order and give it
+the same bits; a (C, kh, kw) order adds them in another. Outside OpenBLAS's
+small-matrix range the two GEMMs run one kernel; inside it (`_SMALL_GEMM`)
+they do not, so a small CHWN conv runs the channels-last GEMM and copies its
+output to CHWN memory. The pool sums CHWN pixels in the channels-last order
+and returns C-contiguous (N, C) rows, so eval keeps every bit.
 
 `matmul`, the dense `bias_add` and `softmax_cross_entropy` also take one
 leading stack axis: (L, m, ·) slabs with an (L, c) bias and (L, m) labels.
@@ -65,6 +78,17 @@ def _nhwc(a) -> bool:
     """Whether the N×C×H×W array `a` lies in NHWC memory order and not also in
     NCHW order (as it does when C = 1)."""
     return not a.flags.c_contiguous and a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _chwn(a) -> bool:
+    """Whether the N×C×H×W array `a` lies in CHWN memory order (batch fastest)
+    and not also in NCHW order (as it does when N = 1)."""
+    return not a.flags.c_contiguous and a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def _as_chwn(a):
+    """`a`'s values in CHWN memory behind an N×C×H×W view; `a` itself, if it is."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
 def _channel_sum(a, b=None, keep="c"):
@@ -189,6 +213,10 @@ def _conv_geometry(xshape, wshape, stride, pad):
 # Least patch rows per forward GEMM, in whole images: OpenBLAS gives GEMMs of
 # ≤ 148 rows another kernel and other bits, so a short remainder joins a block.
 _BLOCK_ROWS = 4096
+# OpenBLAS (SkylakeX kernels) runs a GEMM of at most 100³ multiply-adds through
+# small-matrix kernels, which add a K-major patch matrix in another order than
+# the row-major one; a filter row times the patches is a GEMV, likewise.
+_SMALL_GEMM = 100 ** 3
 
 
 def _patches(x, kh, kw, stride, pad, dilate=1):
@@ -209,6 +237,31 @@ def _patches(x, kh, kw, stride, pad, dilate=1):
     return np.ascontiguousarray(win).reshape(-1, kh * kw * c)
 
 
+def _row_patches(xc, kh, kw, stride, pad, i, j):
+    """The K-major patch matrix of output rows i..j-1 over the (C, H, W, N)
+    array `xc`: (kh·kw·C, (j−i)·Wo·N), its rows in `_patches`'s column order.
+    Only the input rows these outputs read are copied and zero-padded."""
+    c, h, w, n = xc.shape
+    top, rows = i * stride - pad, (j - i - 1) * stride + kh
+    xp = np.zeros((c, rows, w + 2 * pad, n), xc.dtype)
+    lo, hi = min(max(top, 0), h), min(max(top + rows, 0), h)
+    xp[:, lo - top:hi - top, pad:pad + w] = xc[:, lo:hi]
+    sc, sh, sw, sn = xp.strides
+    wo = (w + 2 * pad - kw) // stride + 1
+    # the (kh, kw, c, rows, wo, n) window view: each run is an output row's wo·n values
+    win = as_strided(xp, (kh, kw, c, j - i, wo, n),
+                     (sh, sw, sc, stride * sh, stride * sw, sn), writeable=False)
+    return np.ascontiguousarray(win).reshape(kh * kw * c, -1)
+
+
+def _blocks(count, size, least):
+    """(start, stop) runs of `count` items of `size` patch rows each, at least
+    `least` rows per run; a short remainder joins the run before it."""
+    step = -(-least // size)
+    cuts = [b * step for b in range(max(count // step, 1))] + [count]
+    return zip(cuts, cuts[1:])
+
+
 def _conv_gemm(cols, wd, n, ho, wo):
     """The conv output from its input's patch matrix: an NHWC-memory view."""
     f = wd.shape[0]
@@ -217,15 +270,23 @@ def _conv_gemm(cols, wd, n, ho, wo):
 
 
 def _conv_forward(xd, wd, stride, pad, ho, wo):
-    """`_conv_gemm` of the input's patch matrix, built one block of images at a time."""
+    """The conv output, one GEMM per block of at least `_BLOCK_ROWS` patch
+    rows, in its input's layout: an NHWC or NCHW input by blocks of whole
+    images into NHWC memory, a CHWN input by blocks of whole output rows,
+    K-major, into CHWN memory. Every output gets the same bits either way."""
     n, f, (kh, kw) = xd.shape[0], wd.shape[0], wd.shape[2:]
-    step = -(-_BLOCK_ROWS // (ho * wo))
-    cuts = [b * step for b in range(max(n // step, 1))] + [n]
-    out = np.empty((n, ho, wo, f), np.result_type(xd, wd))
-    wm = wd.transpose(0, 2, 3, 1).reshape(f, -1).T
-    for i, j in zip(cuts, cuts[1:]):
-        np.matmul(_patches(xd[i:j], kh, kw, stride, pad), wm, out=out[i:j].reshape(-1, f))
-    return out.transpose(0, 3, 1, 2)
+    wm, dtype = wd.transpose(0, 2, 3, 1).reshape(f, -1), np.result_type(xd, wd)
+    chwn, least = _chwn(xd), max(_BLOCK_ROWS, _SMALL_GEMM // wm.size + 1)
+    if not chwn or f == 1 or ho * wo * n < least:
+        out = np.empty((n, ho, wo, f), dtype)
+        for i, j in _blocks(n, ho * wo, _BLOCK_ROWS):
+            np.matmul(_patches(xd[i:j], kh, kw, stride, pad), wm.T, out=out[i:j].reshape(-1, f))
+        # a CHWN input too small for the K-major GEMM's bits still gets CHWN memory
+        return _as_chwn(out.transpose(0, 3, 1, 2)) if chwn else out.transpose(0, 3, 1, 2)
+    out, xc = np.empty((f, ho, wo, n), dtype), xd.transpose(1, 2, 3, 0)
+    for i, j in _blocks(ho, wo * n, least):
+        np.matmul(wm, _row_patches(xc, kh, kw, stride, pad, i, j), out=out[:, i:j].reshape(f, -1))
+    return out.transpose(3, 0, 1, 2)
 
 
 def _conv_dw(g, cols, wd):
@@ -338,9 +399,8 @@ def conv_batchnorm2d_eval(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
         raise GraphError("conv_batchnorm2d_eval is forward-only; "
                          f"it cannot run on tape {graph.label!r}")
     s = gamma.data * (1.0 / np.sqrt(var + eps))
-    out = conv2d(detach(x), Tensor(w.data * s[:, None, None, None])).data
-    (rows,), bcast, _ = _channel_layout(out)
-    rows += bcast(beta.data - mean * s)  # rows is a view: out changes in place
+    out = conv2d(Tensor(_as_chwn(x.data)), Tensor(w.data * s[:, None, None, None])).data
+    out += (beta.data - mean * s)[:, None, None]  # on CHWN memory, one H·W·N run per channel
     return Tensor(out)
 
 
@@ -375,7 +435,13 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def backward(g):
         return (np.broadcast_to((g / (h * w))[:, :, None, None], shape).copy(),)
 
-    return _result("global_avg_pool", (x,), _channel_sum(xd, keep="nc") / (h * w), backward)
+    # eval's CHWN memory gets the bits of its NHWC twin: einsum adds pixel after
+    # pixel on both, and at C = 1 the twin is NCHW memory, which numpy sums pairwise
+    if _chwn(xd) and c > 1:
+        pooled = np.einsum("nchw->nc", xd, order="C")
+    else:
+        pooled = _channel_sum(np.ascontiguousarray(xd) if _chwn(xd) else xd, keep="nc")
+    return _result("global_avg_pool", (x,), pooled / (h * w), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ upstream gradients are exactly zero by construction, not merely small.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from typing import Callable, Optional, Sequence
 
@@ -124,6 +125,13 @@ class Node:
         self.graph = graph
 
 
+class _OpenTapes(threading.local):
+    """Each thread's stack of open tapes: a tape is never active in another thread."""
+
+    def __init__(self):
+        self.stack: list = []
+
+
 class Graph:
     """Reverse-mode tape over one stretch of one training step: a module
     body, or one supervision head. A body tape may be backward-ed several
@@ -135,7 +143,7 @@ class Graph:
     them; only non-parameter buffers count (weights are not activations).
     """
 
-    _stack: list = []
+    _open = _OpenTapes()
 
     def __init__(self, label: str = "graph", meter=None, section: str = "main"):
         self.label = label
@@ -147,17 +155,19 @@ class Graph:
     # -- active-graph management -------------------------------------------
 
     def __enter__(self) -> "Graph":
-        Graph._stack.append(self)
+        Graph._open.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = Graph._stack.pop()
+        popped = Graph._open.stack.pop()
         assert popped is self
         return False
 
     @staticmethod
     def active() -> Optional["Graph"]:
-        return Graph._stack[-1] if Graph._stack else None
+        """The innermost tape open in this thread."""
+        stack = Graph._open.stack
+        return stack[-1] if stack else None
 
     # -- recording ----------------------------------------------------------
 

@@ -36,14 +36,19 @@ def trainer_factory():
     return make_trainer
 
 
-def record_patch_rows(monkeypatch):
-    """The row counts of every patch matrix `ops._patches` builds from now on."""
-    rows, inner = [], ops._patches
+def record_patches(monkeypatch):
+    """(patches, values per patch) of every patch matrix the conv builds from
+    now on: the rows of `ops._patches`, the columns of the CHWN forward's
+    K-major `ops._row_patches`."""
+    shapes = []
 
-    def recording(*args, **kwargs):
-        cols = inner(*args, **kwargs)
-        rows.append(cols.shape[0])
-        return cols
+    def recording(inner, patches_axis):
+        def build(*args, **kwargs):
+            cols = inner(*args, **kwargs)
+            shapes.append((cols.shape[patches_axis], cols.shape[1 - patches_axis]))
+            return cols
+        return build
 
-    monkeypatch.setattr(ops, "_patches", recording)
-    return rows
+    monkeypatch.setattr(ops, "_patches", recording(ops._patches, 0))
+    monkeypatch.setattr(ops, "_row_patches", recording(ops._row_patches, 1))
+    return shapes

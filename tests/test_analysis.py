@@ -14,7 +14,7 @@ from mlaan.network import partition
 from mlaan.optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
 from mlaan.rng import named_stream
 from mlaan.tensor import Graph, Parameter, Tensor
-from conftest import make_trainer, record_patch_rows, warmup_batch_stats
+from conftest import make_trainer, record_patches, warmup_batch_stats
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +252,15 @@ def test_evaluate_builds_patch_matrices_in_blocks(monkeypatch):
     net = mlaan.build_backbone(18, 8, 10, (1, 12, 12), seed=0)
     x = np.random.default_rng(0).standard_normal((256, 1, 12, 12)).astype(np.float32)
     warmup_batch_stats(net, x[:16])
-    calls, rows = count_op_calls(monkeypatch, "conv2d"), record_patch_rows(monkeypatch)
+    calls, shapes = count_op_calls(monkeypatch, "conv2d"), record_patches(monkeypatch)
     unfolded = count_op_calls(monkeypatch, "batchnorm2d_eval")
     mlaan.evaluate(net, x, np.zeros(256, np.int64))
     assert len(calls) == 17  # one chunk of 256 through a depth-18 network
     assert not unfolded
-    assert sum(rows) == 17 * 256 * 144 and max(rows) < 2 * ops._BLOCK_ROWS + 144
+    # every pixel of every conv once; no block holds more values than a
+    # width-8 unit's block of under 2 × _BLOCK_ROWS patches plus one row of them
+    assert sum(p for p, _ in shapes) == 17 * 256 * 144
+    assert max(p * k for p, k in shapes) < (2 * ops._BLOCK_ROWS + 12 * 256) * 72
 
 
 @pytest.mark.parametrize("shape,width", [((1, 12, 12), 8), ((3, 32, 32), 16)])
@@ -267,10 +270,12 @@ def test_module_features_build_patch_matrices_in_blocks(shape, width, monkeypatc
     _, modules = partition(net, 2)
     x = np.random.default_rng(0).standard_normal((64, *shape)).astype(np.float32)
     warmup_batch_stats(net, x[:16])
-    pixels = shape[1] * shape[2]
-    rows = record_patch_rows(monkeypatch)
-    module_features(modules, x)
-    assert sum(rows) == 5 * 64 * pixels and max(rows) < 2 * ops._BLOCK_ROWS + pixels
+    pixels, row = shape[1] * shape[2], shape[2] * 64
+    shapes = record_patches(monkeypatch)
+    feats = module_features(modules, x)
+    assert sum(p for p, _ in shapes) == 5 * 64 * pixels
+    assert max(p * k for p, k in shapes) < (2 * ops._BLOCK_ROWS + row) * 9 * width
+    assert all(f.flags.c_contiguous for f in feats)
 
 
 def test_module_features_batch_size_is_keyword_only(tiny_data):

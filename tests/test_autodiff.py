@@ -1,6 +1,7 @@
 """Reverse-mode gradient checks against central finite differences,
 plus tape mechanics (accumulation, seeds, frozen parameters)."""
 
+import threading
 import weakref
 
 import numpy as np
@@ -335,3 +336,29 @@ def test_relu_output_mask_is_the_input_mask(dtype, data):
     drawn = data.draw(st.lists(st.floats(width=info.bits), max_size=64))
     x = np.concatenate([specials, np.array(drawn, dtype)])
     assert np.array_equal(np.maximum(x, 0) > 0, x > 0)
+
+
+def test_a_tape_is_active_only_in_its_own_thread():
+    """A tape open in one thread is not `Graph.active()` in another, so an
+    eval-mode forward there runs instead of raising `GraphError`."""
+    unit = ResidualUnit("u", 4, np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((4, 4, 6, 6)))
+    unit(x, training=True)  # running statistics for eval mode
+    opened, done, seen = threading.Event(), threading.Event(), []
+
+    def hold_a_tape():
+        with Graph("other thread") as g:
+            seen.append(Graph.active() is g)
+            opened.set()
+            done.wait(10)
+
+    other = threading.Thread(target=hold_a_tape)
+    other.start()
+    try:
+        assert opened.wait(10)
+        assert Graph.active() is None
+        out = unit(x, training=False)
+    finally:
+        done.set()
+        other.join(10)
+    assert seen == [True] and out.shape == x.shape and Graph.active() is None

@@ -272,3 +272,22 @@ class TestBackboneShape:
         net = backbone(18)
         names = [p.name for p in net.parameters()]
         assert len(names) == len(set(names))
+
+    def test_eval_forward_stays_chwn_after_the_stem(self, monkeypatch):
+        """Only the stem's images are re-laid out: every later layer gets the
+        CHWN memory the one before it returned, and the pool gives (N, C) rows."""
+        net = build_backbone(18, 8, 10, (1, 12, 12), seed=0)
+        x = np.random.default_rng(0).standard_normal((130, 1, 12, 12)).astype(np.float32)
+        warmup_batch_stats(net, x[:16])
+        seen = {"conv_batchnorm2d_eval": [], "conv2d": [], "global_avg_pool": []}
+        for name, inputs in seen.items():
+            def spy(t, *args, inner=getattr(ops, name), inputs=inputs, **kwargs):
+                inputs.append(t.data)
+                return inner(t, *args, **kwargs)
+            monkeypatch.setattr(ops, name, spy)
+        logits = net.forward(Tensor(x), training=False).data
+        layers, convs, pooled = seen.values()
+        assert len(layers) == len(convs) == 17 and len(pooled) == 1
+        assert layers[0].flags.c_contiguous and not ops._chwn(layers[0])
+        assert all(ops._chwn(a) for a in layers[1:] + convs + pooled)
+        assert logits.flags.c_contiguous

@@ -13,7 +13,7 @@ from mlaan import ops
 from mlaan.layers import BatchNorm2d, Conv2d
 from mlaan.errors import ConfigError, DataError, GraphError, ShapeError
 from mlaan.tensor import Graph, Parameter, Tensor
-from conftest import record_patch_rows
+from conftest import record_patches
 
 
 def t(data, dtype=np.float64):
@@ -200,13 +200,14 @@ CONV_CASES = [
 
 
 class TestConvGradients:
-    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc", "chwn"])
     @pytest.mark.parametrize("k,stride,pad,h,w", CONV_CASES)
-    def test_matches_direct_loops(self, k, stride, pad, h, w, layout):
+    def test_matches_direct_loops(self, k, stride, pad, h, w, layout, monkeypatch):
         gen = np.random.default_rng(k * 100 + stride * 10 + pad)
-        x = gen.standard_normal((2, 3, h, w))
-        if layout == "nhwc":  # same values, channels fastest in memory
-            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        x = laid_out(gen.standard_normal((2, 3, h, w)), layout)  # same values in each
+        if layout == "chwn":  # the K-major forward, each output row a block of its own
+            monkeypatch.setattr(ops, "_SMALL_GEMM", 0)
+            monkeypatch.setattr(ops, "_BLOCK_ROWS", 1)
         wt = Parameter("w", gen.standard_normal((4, 3, k, k)), dtype=np.float64)
         xt = Tensor(x, requires_grad=True)
         with Graph("g") as graph:
@@ -344,9 +345,11 @@ def reference_global_avg_pool(x):
 
 
 def laid_out(a, layout):
-    """`a`'s values in NCHW memory, or in NHWC memory behind an NCHW view."""
+    """`a`'s values in NCHW memory, or in NHWC or CHWN memory behind an NCHW view."""
     if layout == "nhwc":
         return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    if layout == "chwn":
+        return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
     return np.ascontiguousarray(a)
 
 
@@ -612,17 +615,20 @@ class TestConvBatchNormEval:
         bn.initialized = True
         return conv, bn
 
-    # (input channels, input layout): the stem's image, a width-8 unit's input
-    @pytest.mark.parametrize("c_in,layout", [(1, "nchw"), (8, "nhwc")])
+    # (input channels, input layout): the stem's image, a training-layout and
+    # an eval-layout width-8 unit input; 32 images give a unit 4608 patches,
+    # so its conv runs K-major
+    @pytest.mark.parametrize("c_in,layout", [(1, "nchw"), (8, "nhwc"), (8, "chwn")])
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_matches_conv_then_batchnorm_eval(self, c_in, layout, dtype, tol):
         conv, bn = self.layer_pair(c_in, 8, dtype, seed=c_in)
-        x = Tensor(laid_out(np.random.default_rng(5).standard_normal((20, c_in, 12, 12))
+        x = Tensor(laid_out(np.random.default_rng(5).standard_normal((32, c_in, 12, 12))
                             .astype(dtype), layout))
         got = bn(conv, x, training=False).data
         want = ops.batchnorm2d_eval(ops.conv2d(x, conv.w), bn.gamma, bn.beta,
                                     bn.running_mean, bn.running_var).data
-        assert got.dtype == want.dtype and got.strides == want.strides
+        # the output is CHWN memory, whatever the input's layout
+        assert got.dtype == want.dtype and got.strides == laid_out(want, "chwn").strides
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
     def test_refuses_an_active_tape(self):
@@ -631,6 +637,61 @@ class TestConvBatchNormEval:
         with Graph("g"):
             with pytest.raises(GraphError, match="forward-only"):
                 bn(conv, x, training=False)
+
+
+class TestChwnForward:
+    """An eval forward runs batch-innermost: a CHWN input gives a CHWN output,
+    with the bytes of the same values from the NHWC forward."""
+
+    # at 12×12, 2 and 7 images fit one block of every conv; 29 or more make
+    # blocks of whole output rows, and from 97 on the C=1 stem's GEMM leaves
+    # OpenBLAS's small-matrix range too
+    @pytest.mark.parametrize("c", [1, 8, 16])
+    @pytest.mark.parametrize("n", [2, 7, 29, 30, 130, 256])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_matches_the_nhwc_forward_bitwise(self, dtype, n, c, monkeypatch):
+        gen = np.random.default_rng(n * 100 + c)
+        x = gen.standard_normal((n, c, 12, 12)).astype(dtype)
+        w = Tensor(gen.standard_normal((8, c, 3, 3)).astype(dtype))
+        want = ops.conv2d(Tensor(laid_out(x, "nhwc")), w).data
+        rows, inner = [], ops._row_patches  # each K-major block's output rows (i, j)
+        monkeypatch.setattr(ops, "_row_patches", lambda *a: rows.append(a[-2:]) or inner(*a))
+        got = ops.conv2d(Tensor(laid_out(x, "chwn")), w).data
+        assert ops._chwn(got) and same_bits(got, laid_out(want, "chwn"))
+        # K-major blocks that cover the 12 output rows, unless some GEMM would be small
+        if n * 144 >= ops._BLOCK_ROWS and 8 * 9 * c * n * 144 > ops._SMALL_GEMM:
+            assert [i for i, _ in rows] + [12] == [0] + [j for _, j in rows]
+        else:
+            assert not rows
+
+    @pytest.mark.parametrize("c", [1, 3, 8])
+    @pytest.mark.parametrize("n", [2, 16, 130])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_keeps_the_nhwc_bits_in_rows(self, dtype, n, c):
+        x = (np.random.default_rng(n * 10 + c).standard_normal((n, c, 12, 12)) * 3 + 1
+             ).astype(dtype)
+        got = ops.global_avg_pool(Tensor(laid_out(x, "chwn"))).data
+        want = ops._channel_sum(laid_out(x, "nhwc"), keep="nc") / 144
+        assert got.flags.c_contiguous and same_bits(got, np.ascontiguousarray(want))
+
+    def test_batch_of_one_takes_the_nhwc_forward(self):
+        """One image in CHWN memory is also NCHW memory: it runs, and returns,
+        as the NHWC forward does."""
+        gen = np.random.default_rng(0)
+        x = gen.standard_normal((1, 8, 12, 12)).astype(np.float32)
+        w = Tensor(gen.standard_normal((8, 8, 3, 3)).astype(np.float32))
+        assert not ops._chwn(laid_out(x, "chwn"))
+        got, want = (ops.conv2d(Tensor(laid_out(x, lay)), w).data for lay in ("chwn", "nhwc"))
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_small_k_major_gemm_would_move_bits(self, dtype):
+        """Why a small CHWN conv runs the row-major GEMM: OpenBLAS's
+        small-matrix kernels add the K-major operands in another order."""
+        gen = np.random.default_rng(0)
+        cols = gen.standard_normal((144, 72)).astype(dtype)
+        wm = gen.standard_normal((8, 72)).astype(dtype)
+        assert (wm @ np.ascontiguousarray(cols.T)).tobytes() != (cols @ wm.T).T.copy().tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +736,11 @@ class TestBlockedConvForward:
         w = gen.standard_normal((f, c, 3, 3)).astype(dtype)
         g = laid_out(gen.standard_normal((n, f, side, side)).astype(dtype), "nhwc")
         want = self.run(reference_conv2d, x, w, g)
-        rows = record_patch_rows(monkeypatch)
+        shapes = record_patches(monkeypatch)
         got = self.run(ops.conv2d, x, w, g)
         for a, b in zip(got, want):
             assert same_bits(a, b)
+        rows = [p for p, _ in shapes]
         # the forward's blocks, then dW's and dx's whole-batch matrices; a
         # short remainder (n=30 and 57 at 12×12) joins the block before it
         blocks, total = rows[:-2], n * side * side
