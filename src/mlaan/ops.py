@@ -438,7 +438,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     # eval's CHWN memory gets the bits of its NHWC twin: einsum adds pixel after
     # pixel on both, and at C = 1 the twin is NCHW memory, which numpy sums pairwise
     if _chwn(xd) and c > 1:
-        pooled = np.einsum("nchw->nc", xd, order="C")
+        pooled = np.ascontiguousarray(np.einsum("nchw->nc", xd))
     else:
         pooled = _channel_sum(np.ascontiguousarray(xd) if _chwn(xd) else xd, keep="nc")
     return _result("global_avg_pool", (x,), pooled / (h * w), backward)

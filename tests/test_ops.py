@@ -645,21 +645,22 @@ class TestChwnForward:
 
     # at 12×12, 2 and 7 images fit one block of every conv; 29 or more make
     # blocks of whole output rows, and from 97 on the C=1 stem's GEMM leaves
-    # OpenBLAS's small-matrix range too
-    @pytest.mark.parametrize("c", [1, 8, 16])
+    # OpenBLAS's small-matrix range too. At 4 channels and filters, a
+    # K-major GEMM over 2 images would have other bits.
+    @pytest.mark.parametrize("c,f", [(1, 8), (8, 8), (16, 8), (4, 4)])
     @pytest.mark.parametrize("n", [2, 7, 29, 30, 130, 256])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_conv_matches_the_nhwc_forward_bitwise(self, dtype, n, c, monkeypatch):
+    def test_conv_matches_the_nhwc_forward_bitwise(self, dtype, n, c, f, monkeypatch):
         gen = np.random.default_rng(n * 100 + c)
         x = gen.standard_normal((n, c, 12, 12)).astype(dtype)
-        w = Tensor(gen.standard_normal((8, c, 3, 3)).astype(dtype))
+        w = Tensor(gen.standard_normal((f, c, 3, 3)).astype(dtype))
         want = ops.conv2d(Tensor(laid_out(x, "nhwc")), w).data
         rows, inner = [], ops._row_patches  # each K-major block's output rows (i, j)
         monkeypatch.setattr(ops, "_row_patches", lambda *a: rows.append(a[-2:]) or inner(*a))
         got = ops.conv2d(Tensor(laid_out(x, "chwn")), w).data
         assert ops._chwn(got) and same_bits(got, laid_out(want, "chwn"))
         # K-major blocks that cover the 12 output rows, unless some GEMM would be small
-        if n * 144 >= ops._BLOCK_ROWS and 8 * 9 * c * n * 144 > ops._SMALL_GEMM:
+        if n * 144 >= ops._BLOCK_ROWS and f * 9 * c * n * 144 > ops._SMALL_GEMM:
             assert [i for i, _ in rows] + [12] == [0] + [j for _, j in rows]
         else:
             assert not rows
