@@ -42,8 +42,8 @@ follows its input's memory order, and on CHWN input it copies K-major patch
 columns, (kh·kw·C) × (Ho·Wo·N), a block of whole output rows at a time, so
 each copied run is an output row across the batch (Wo·N values) where
 channels-last moves kw·C. K is ordered (kh, kw, C), as the channels-last
-rows are, so both GEMMs add each output's products in one order and give it
-the same bits; a (C, kh, kw) order adds them in another. Outside OpenBLAS's
+rows are, so both GEMMs add each output's products in the same order and give
+it the same bits; a (C, kh, kw) order adds them in another. Outside OpenBLAS's
 small-matrix range the two GEMMs run one kernel; inside it (`_SMALL_GEMM`)
 they do not, so a small CHWN conv runs the channels-last GEMM and copies its
 output to CHWN memory. The pool sums CHWN pixels in the channels-last order
