@@ -18,13 +18,13 @@ adds β − μγ/σ to the conv output in place, one GEMM per block and one bias
 pass per layer. It is forward-only and refuses to run on a tape.
 
 Convolution uses the cross-correlation convention (no kernel flip). Training
-works channels-last (NHWC memory behind NCHW views): the forward copies whole
-images into kh·kw·C patch rows a block of at least `_BLOCK_ROWS` rows at a
-time, one GEMM per block; the backward copies the whole batch, as dW needs
-every row and a blockwise dW has other bits. dx correlates the
-stride-dilated gradient with the flipped, channel-swapped kernel. No
-gradient is computed for an input or a kernel that does not require one (the
-stem's image, the frozen EMA twins).
+works channels-last (NHWC memory behind NCHW views). Its forward, the fused
+backward's recompute of it and dx are each one GEMM over one whole-batch
+matrix of kh·kw·C-value patch rows (`_conv_gemm`); dx correlates the
+stride-dilated gradient with the flipped, channel-swapped kernel, and dW
+multiplies the gradient into the forward's matrix. Only the CHWN eval forward
+(below) works in blocks. No gradient is computed for an input or a kernel
+that does not require one (the stem's image, the frozen EMA twins).
 
 Per-channel ops (batch norm, the 4-d bias gradient, global pooling) meet those
 NHWC-memory arrays in training. numpy reduces and broadcasts them one pixel (C
@@ -210,8 +210,9 @@ def _conv_geometry(xshape, wshape, stride, pad):
     return ho + 1, wo + 1
 
 
-# Least patch rows per forward GEMM, in whole images: OpenBLAS gives GEMMs of
-# ≤ 148 rows another kernel and other bits, so a short remainder joins a block.
+# Least patch columns per GEMM of the CHWN eval forward, in whole output rows:
+# blocks cap eval's patch workspace, and a short remainder joins the block before
+# it, as OpenBLAS gives a short GEMM another kernel and other bits.
 _BLOCK_ROWS = 4096
 # OpenBLAS (SkylakeX kernels) runs a GEMM of at most 100³ multiply-adds through
 # small-matrix kernels, which add a K-major patch matrix in another order than
@@ -255,8 +256,9 @@ def _row_patches(xc, kh, kw, stride, pad, i, j):
 
 
 def _blocks(count, size, least):
-    """(start, stop) runs of `count` items of `size` patch rows each, at least
-    `least` rows per run; a short remainder joins the run before it."""
+    """(start, stop) runs of `count` items of `size` each, at least `least` per
+    run; a short remainder joins the run before it. The CHWN forward runs output
+    rows of patch columns so, and `evaluate` runs images in chunks."""
     step = -(-least // size)
     cuts = [b * step for b in range(max(count // step, 1))] + [count]
     return zip(cuts, cuts[1:])
@@ -270,20 +272,18 @@ def _conv_gemm(cols, wd, n, ho, wo):
 
 
 def _conv_forward(xd, wd, stride, pad, ho, wo):
-    """The conv output, one GEMM per block of at least `_BLOCK_ROWS` patch
-    rows, in its input's layout: an NHWC or NCHW input by blocks of whole
-    images into NHWC memory, a CHWN input by blocks of whole output rows,
-    K-major, into CHWN memory. Every output gets the same bits either way."""
+    """The conv output in its input's layout: an NHWC or NCHW input by one
+    whole-batch patch GEMM into NHWC memory, a CHWN input by blocks of at
+    least `_BLOCK_ROWS` patch columns of whole output rows, K-major, into
+    CHWN memory. Every output gets the same bits either way."""
     n, f, (kh, kw) = xd.shape[0], wd.shape[0], wd.shape[2:]
-    wm, dtype = wd.transpose(0, 2, 3, 1).reshape(f, -1), np.result_type(xd, wd)
+    wm = wd.transpose(0, 2, 3, 1).reshape(f, -1)
     chwn, least = _chwn(xd), max(_BLOCK_ROWS, _SMALL_GEMM // wm.size + 1)
     if not chwn or f == 1 or ho * wo * n < least:
-        out = np.empty((n, ho, wo, f), dtype)
-        for i, j in _blocks(n, ho * wo, _BLOCK_ROWS):
-            np.matmul(_patches(xd[i:j], kh, kw, stride, pad), wm.T, out=out[i:j].reshape(-1, f))
+        out = _conv_gemm(_patches(xd, kh, kw, stride, pad), wd, n, ho, wo)
         # a CHWN input too small for the K-major GEMM's bits still gets CHWN memory
-        return _as_chwn(out.transpose(0, 3, 1, 2)) if chwn else out.transpose(0, 3, 1, 2)
-    out, xc = np.empty((f, ho, wo, n), dtype), xd.transpose(1, 2, 3, 0)
+        return _as_chwn(out) if chwn else out
+    out, xc = np.empty((f, ho, wo, n), np.result_type(xd, wd)), xd.transpose(1, 2, 3, 0)
     for i, j in _blocks(ho, wo * n, least):
         np.matmul(wm, _row_patches(xc, kh, kw, stride, pad, i, j), out=out[:, i:j].reshape(f, -1))
     return out.transpose(3, 0, 1, 2)
@@ -298,10 +298,9 @@ def _conv_dw(g, cols, wd):
 def _conv_dx(g, wd, xshape, stride, pad):
     # the forward's transpose: correlate g, dilated by the stride, with the
     # flipped kernel, its in and out channels swapped
-    (n, c, h, width), (kh, kw) = xshape, wd.shape[2:]
-    wflip = wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
-    return (_patches(g, kh, kw, 1, kh - 1 - pad, stride) @ wflip.T
-            ).reshape(n, h, width, c).transpose(0, 3, 1, 2)
+    (n, _, h, width), (kh, kw) = xshape, wd.shape[2:]
+    return _conv_gemm(_patches(g, kh, kw, 1, kh - 1 - pad, stride),
+                      wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), n, h, width)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
@@ -413,8 +412,8 @@ def batchnorm2d_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     if xd.ndim != 4:
         raise ShapeError(f"batchnorm2d expects N×C×H×W, got {xd.shape}")
     inv = 1.0 / np.sqrt(var + eps)
-    (xv,), bcast, back = _channel_layout(xd)
-    out = back(bcast(gamma.data) * ((xv - bcast(mean)) * bcast(inv)) + bcast(beta.data))
+    xh = (xd - mean[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xh + beta.data[None, :, None, None]
 
     def backward(g):
         xh = (xd - mean[None, :, None, None]) * inv[None, :, None, None]

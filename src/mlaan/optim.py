@@ -38,14 +38,15 @@ class OptimizerConfig:
                               f"got {self.min_lr} > {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"optimizer.momentum must lie in [0, 1), got {self.momentum}")
+        if self.lr == 0.0 and self.lr_cascaded:
+            raise ConfigError(f"optimizer.lr_cascaded must be 0 or null when "
+                              f"optimizer.lr is 0, got {self.lr_cascaded}")
 
     def cascade_scale(self) -> float:
         """Ratio eta_c/eta_d folded into cascade-loss backward seeds."""
         if self.lr_cascaded is None:
             return 1.0
-        if self.lr == 0.0:
-            return 0.0 if self.lr_cascaded == 0.0 else float("inf")
-        return self.lr_cascaded / self.lr
+        return self.lr_cascaded / self.lr if self.lr else 0.0
 
 
 class SGDNesterov:

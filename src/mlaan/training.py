@@ -117,8 +117,7 @@ def evaluate(backbone: Backbone, x: np.ndarray, y: np.ndarray, batch_size: int =
         raise DataError("evaluate called on an empty dataset")
     preds = np.empty(n, dtype=np.int64)
     # a short last chunk joins the one before it, so no image goes through alone
-    cuts = [b * batch_size for b in range(max(n // batch_size, 1))] + [n]
-    for i, j in zip(cuts, cuts[1:]):
+    for i, j in ops._blocks(n, 1, batch_size):
         preds[i:j] = backbone.forward(Tensor(x[i:j]), training=False).data.argmax(axis=1)
     wrong = preds != y
     per_class = {}

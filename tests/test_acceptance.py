@@ -364,8 +364,10 @@ def test_criterion_06_desk_scale_orderings(desk_experiment):
           and mean["mlaan"] < mean["greedy_local"] - 0.02
           and abs(mean["mlaan"] - mean["bp"]) <= 0.03
           and wall < 15.0)
-    summary = ", ".join(f"{kind}={mean[kind]:.3f}" for kind in DESK_MODES)
-    _verdict(6, ok, f"mean test error over seeds {DESK['seeds']}: {summary}; "
+    seeds = {kind: "/".join(f"{run['error']:.3f}" for run in desk_experiment[kind])
+             for kind in DESK_MODES}
+    summary = ", ".join(f"{kind}={mean[kind]:.3f} ({seeds[kind]})" for kind in DESK_MODES)
+    _verdict(6, ok, f"mean (per-seed) test error over seeds {DESK['seeds']}: {summary}; "
                     f"mlaan<=mlm: {mean['mlaan'] <= mean['mlm_only'] + 1e-12}, "
                     f"mlaan<=lam: {mean['mlaan'] <= mean['lam_only'] + 1e-12}, "
                     f"mlaan<greedy-2pts: {mean['mlaan'] < mean['greedy_local'] - 0.02}, "

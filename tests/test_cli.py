@@ -274,6 +274,15 @@ def test_config_value_of_wrong_type_exits_one(tmp_path, capsys):
     assert "backbone.depth must be an integer" in err and "unexpected" not in err
 
 
+def test_cascaded_rate_with_zero_lr_exits_one(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, trainer={"mode": "mlm_only"},
+                            optimizer={"lr": 0.0, "lr_cascaded": 0.1})
+    assert main(["train", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "optimizer.lr_cascaded" in err and "optimizer.lr is 0" in err
+    assert not os.path.exists(tmp_path / "out" / "checkpoint.mlnn")
+
+
 def test_train_without_config_or_resume_exits_one(capsys):
     assert main(["train"]) == 1
     assert "config" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Forward-value oracles for the tensor ops, independent of the tape, a
 direct-loop gradient oracle for conv2d, and the 4-d reference kernels that
-the per-channel ops must match bit for bit, as the blocked conv forward must
-match one GEMM over the whole batch."""
+the per-channel ops must match bit for bit, as the conv must match one GEMM
+over the whole batch."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -696,7 +696,7 @@ class TestChwnForward:
 
 
 # ---------------------------------------------------------------------------
-# the blocked conv forward against one GEMM over the whole batch
+# the channels-last conv against one GEMM over the whole batch
 # ---------------------------------------------------------------------------
 
 def reference_conv2d(x, w, stride=1, pad=1):
@@ -741,18 +741,13 @@ class TestBlockedConvForward:
         got = self.run(ops.conv2d, x, w, g)
         for a, b in zip(got, want):
             assert same_bits(a, b)
-        rows = [p for p, _ in shapes]
-        # the forward's blocks, then dW's and dx's whole-batch matrices; a
-        # short remainder (n=30 and 57 at 12×12) joins the block before it
-        blocks, total = rows[:-2], n * side * side
-        assert rows[-2:] == [total, total] and sum(blocks) == total
-        assert all(min(total, ops._BLOCK_ROWS) <= r < 2 * ops._BLOCK_ROWS + side * side
-                   for r in blocks)
+        # the forward, dW and dx each build one whole-batch patch matrix
+        assert [p for p, _ in shapes] == [n * side * side] * 3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_lone_image_block_would_move_bits(self, dtype):
-        """Why no block may be short: a 144-row GEMM takes another BLAS kernel,
-        so the last image of 29 split off alone gets other bits."""
+        """Why the forward never splits a batch: a 144-row GEMM takes another
+        BLAS kernel, so the last image of 29 run alone gets other bits."""
         gen = np.random.default_rng(0)
         x = Tensor(gen.standard_normal((29, 8, 12, 12)).astype(dtype))
         w = Tensor(gen.standard_normal((8, 8, 3, 3)).astype(dtype))

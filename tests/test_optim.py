@@ -109,6 +109,13 @@ class TestOptimizerConfig:
     def test_cascade_scale_zero(self):
         assert OptimizerConfig(lr=0.2, lr_cascaded=0.0).cascade_scale() == 0.0
 
+    def test_zero_lr_refuses_a_cascaded_rate(self):
+        """eta_c/eta_d is infinite there, and would poison every parameter."""
+        with pytest.raises(ConfigError, match=r"optimizer\.lr_cascaded .* optimizer\.lr is 0"):
+            OptimizerConfig(lr=0.0, lr_cascaded=0.1)
+        assert OptimizerConfig(lr=0.0).cascade_scale() == 1.0
+        assert OptimizerConfig(lr=0.0, lr_cascaded=0.0).cascade_scale() == 0.0
+
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError):
             OptimizerConfig(lr=-0.1)

@@ -541,8 +541,8 @@ def test_eval_logits_do_not_depend_on_chunking(tiny_data, dtype):
 @pytest.mark.parametrize("n,sizes", [(100, [100]), (257, [257]), (512, [256, 256]),
                                      (513, [256, 257])])
 def test_evaluate_joins_a_short_last_chunk(tiny_data, monkeypatch, n, sizes):
-    """A remainder rides with the last full chunk, as `ops._conv_forward`'s
-    blocks do: no image goes through alone and takes BLAS's short-GEMM kernel."""
+    """A remainder rides with the last full chunk (`ops._blocks`, the CHWN
+    forward's rule): no image goes through alone and takes BLAS's short-GEMM kernel."""
     net = Backbone(BackboneConfig(depth=6), seed=0)
     warmup_batch_stats(net, tiny_data.train_x[:16])
     seen, forward = [], Backbone.forward
