@@ -210,9 +210,8 @@ def _conv_geometry(xshape, wshape, stride, pad):
     return ho + 1, wo + 1
 
 
-# Least patch columns per GEMM of the CHWN eval forward, in whole output rows:
-# blocks cap eval's patch workspace, and a short remainder joins the block before
-# it, as OpenBLAS gives a short GEMM another kernel and other bits.
+# Least patch columns per CHWN eval-forward GEMM, in whole output rows: OpenBLAS
+# gives short GEMMs another kernel and other bits, so a short remainder joins a block.
 _BLOCK_ROWS = 4096
 # OpenBLAS (SkylakeX kernels) runs a GEMM of at most 100³ multiply-adds through
 # small-matrix kernels, which add a K-major patch matrix in another order than
@@ -257,8 +256,7 @@ def _row_patches(xc, kh, kw, stride, pad, i, j):
 
 def _blocks(count, size, least):
     """(start, stop) runs of `count` items of `size` each, at least `least` per
-    run; a short remainder joins the run before it. The CHWN forward runs output
-    rows of patch columns so, and `evaluate` runs images in chunks."""
+    run; a short remainder joins the run before it."""
     step = -(-least // size)
     cuts = [b * step for b in range(max(count // step, 1))] + [count]
     return zip(cuts, cuts[1:])
