@@ -4,7 +4,7 @@ Each op computes its forward value with numpy, then (only when a Graph is
 active and some input wants gradients) records a backward closure on the
 tape. A closure captures exactly the arrays its backward reads, and the op
 hands those same arrays to the tape for the activation meter: conv2d its
-input, and only when the kernel wants dW; batch norm its input, μ and 1/σ,
+CHWN input, and only when the kernel wants dW; batch norm its input, μ and 1/σ,
 and so does a bias-free conv fused with its batch norm, whose backward
 recomputes the conv output from the patch matrix dW builds anyway; relu its
 output (`out > 0` has the bits of `x > 0`); matmul an operand only when the
@@ -18,36 +18,34 @@ adds β − μγ/σ to the conv output in place, one GEMM per block and one bias
 pass per layer. It is forward-only and refuses to run on a tape.
 
 Convolution uses the cross-correlation convention (no kernel flip). Training
-works channels-last (NHWC memory behind NCHW views). Its forward, the fused
-backward's recompute of it and dx are each one GEMM over one whole-batch
-matrix of kh·kw·C-value patch rows (`_conv_gemm`); dx correlates the
-stride-dilated gradient with the flipped, channel-swapped kernel, and dW
-multiplies the gradient into the forward's matrix. Only the CHWN eval forward
-(below) works in blocks. No gradient is computed for an input or a kernel
-that does not require one (the stem's image, the frozen EMA twins).
+and eval both work batch-innermost: CHWN memory behind N×C×H×W views, which
+relu, the residual sum and batch norm keep. On a tape a conv lays out a
+non-CHWN input (only the stem's images) CHWN once and keeps that copy. Its
+forward, the fused backward's recompute of it and dx are each one
+whole-batch GEMM W_m @ P: the kernel as (F, kh·kw·C) rows times the K-major
+patch matrix P, (kh·kw·C) × (Ho·Wo·N), of `_row_patches`, into (F, Ho, Wo, N)
+memory. dx correlates the stride-dilated gradient with the flipped,
+channel-swapped kernel, and dW is (P @ g_rowsᵀ)ᵀ. No gradient is computed for
+an input or a kernel that does not require one (the stem's image, the frozen
+EMA twins).
 
-Per-channel ops (batch norm, the 4-d bias gradient, global pooling) meet those
-NHWC-memory arrays in training. numpy reduces and broadcasts them one pixel (C
-values) at a time, so on NHWC operands they run at full width instead:
-channel sums through `np.einsum`, channel broadcasts on the (N, H·W·C) row
-view against vectors tiled H·W times. Both give the very bits of the 4-d
-expressions, and they must: einsum walks the memory in the order numpy's own
-reduction does, and a faster sum in any other order re-rolls the trained
-networks that acceptance criterion 6 ranks by a 0.03 error margin.
-NCHW-memory operands keep the 4-d expressions.
+Batch norm and the 4-d bias gradient sum per channel with `np.einsum` on the
+4-d operands, and broadcast vectors as [None, :, None, None]. einsum adds in
+memory order, so a sum's bits follow its operands' layout: the pool's
+backward writes CHWN too, so every batch-norm backward reads CHWN memory.
+Another order re-rolls the trained networks that acceptance criterion 6
+ranks by a 0.03 error margin.
 
-Eval works batch-innermost (CHWN memory): the fold lays out the stem's images
-so once, and relu and the residual sum keep the layout. The conv forward
-follows its input's memory order, and on CHWN input it copies K-major patch
-columns, (kh·kw·C) × (Ho·Wo·N), a block of whole output rows at a time, so
-each copied run is an output row across the batch (Wo·N values) where
-channels-last moves kw·C. K is ordered (kh, kw, C), as the channels-last
-rows are, so both GEMMs add each output's products in the same order and give
-it the same bits; a (C, kh, kw) order adds them in another. Outside OpenBLAS's
-small-matrix range the two GEMMs run one kernel; inside it (`_SMALL_GEMM`)
-they do not, so a small CHWN conv runs the channels-last GEMM and copies its
-output to CHWN memory. The pool sums CHWN pixels in the channels-last order
-and returns C-contiguous (N, C) rows, so eval keeps every bit.
+Off the tape (eval) the conv forward follows its input's layout. On CHWN input
+it copies K-major patch columns a block of whole output rows at a time, each
+copied run an output row across the batch (Wo·N values). K is ordered
+(kh, kw, C), as the channels-last patch rows of `_patches` are, so both GEMMs
+add each output's products in the same order and give it the same bits.
+Outside OpenBLAS's small-matrix range the two GEMMs run one kernel; inside it
+(`_SMALL_GEMM`) they do not, so a small CHWN conv runs the channels-last GEMM
+and copies its output to CHWN memory. Only eval blocks and falls back so. The
+pool sums CHWN pixels in the channels-last order and returns C-contiguous
+(N, C) rows.
 
 `matmul`, the dense `bias_add` and `softmax_cross_entropy` also take one
 leading stack axis: (L, m, ·) slabs with an (L, c) bias and (L, m) labels.
@@ -74,12 +72,6 @@ def _result(op, inputs, out_data, backward_fn, cache_arrays=()):
     return out
 
 
-def _nhwc(a) -> bool:
-    """Whether the N×C×H×W array `a` lies in NHWC memory order and not also in
-    NCHW order (as it does when C = 1)."""
-    return not a.flags.c_contiguous and a.transpose(0, 2, 3, 1).flags.c_contiguous
-
-
 def _chwn(a) -> bool:
     """Whether the N×C×H×W array `a` lies in CHWN memory order (batch fastest)
     and not also in NCHW order (as it does when N = 1)."""
@@ -88,37 +80,21 @@ def _chwn(a) -> bool:
 
 def _as_chwn(a):
     """`a`'s values in CHWN memory behind an N×C×H×W view; `a` itself, if it is."""
+    if a.transpose(1, 2, 3, 0).flags.c_contiguous:
+        return a
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
 def _channel_sum(a, b=None, keep="c"):
     """Sum of `a` (or of a·b) over every axis of N×C×H×W operands but those
-    in `keep` ("c" or "nc"), bitwise equal to `(a * b).sum(axis=...)`.
-
-    On NHWC operands numpy's reduction adds pixel after pixel into each
-    channel, C values per inner loop; einsum adds in that same order without
-    the per-pixel dispatch. A product of mixed layouts is written and summed
-    in another order, so it takes einsum only when both operands are NHWC."""
-    if _nhwc(a) and (b is None or _nhwc(b)):
-        if b is None:
-            return np.einsum("nchw->" + keep, a)
-        return np.einsum("nchw,nchw->" + keep, a, b)
+    in `keep` ("c" or "nc"): numpy's own reduction, which the 4-d eval kernels
+    take."""
     return (a if b is None else a * b).sum(axis=(0, 2, 3) if keep == "c" else (2, 3))
 
 
-def _channel_layout(*arrays):
-    """(views, bcast, back) for per-channel arithmetic on same-shaped N×C×H×W
-    arrays. When all are NHWC in memory, the views are their (N, H·W·C) rows,
-    `bcast` repeats a channel vector H·W times along a row and `back` turns a
-    row result into the NHWC-memory N×C×H×W view the 4-d expression would
-    have produced; otherwise the arrays stay 4-d and vectors broadcast as
-    [None, :, None, None]."""
-    n, c, h, w = arrays[0].shape
-    if all(_nhwc(a) for a in arrays):
-        return ([a.transpose(0, 2, 3, 1).reshape(n, -1) for a in arrays],
-                lambda v: np.repeat(v[None], h * w, axis=0).reshape(-1),
-                lambda r: r.reshape(n, h, w, c).transpose(0, 3, 1, 2))
-    return list(arrays), lambda v: v[None, :, None, None], lambda a: a
+def _bcast(v):
+    """A channel vector broadcast over N×C×H×W operands."""
+    return v[None, :, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +131,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
         out = xd + bd[None, :, None, None]
 
         def backward(g):
-            return g, _channel_sum(g)
+            return g, np.einsum("nchw->c", g)
 
     else:
         raise ShapeError(f"bias_add: cannot broadcast {bd.shape} onto {xd.shape}")
@@ -219,35 +195,44 @@ _BLOCK_ROWS = 4096
 _SMALL_GEMM = 100 ** 3
 
 
-def _patches(x, kh, kw, stride, pad, dilate=1):
-    """Rows of kh×kw windows over the N×C×H×W array `x`, channels fastest:
-    (N·Ho·Wo, kh·kw·C). `x` is first dilated (dilate-1 zeros between pixels),
-    then zero-padded by `pad` on each side, or cropped when `pad` is negative."""
+def _patches(x, kh, kw, stride, pad):
+    """Rows of kh×kw windows over the N×C×H×W array `x`, zero-padded by `pad`
+    on each side, channels fastest: (N·Ho·Wo, kh·kw·C)."""
     x = x.transpose(0, 2, 3, 1)
     n, h, w, c = x.shape
-    lo, crop = max(pad, 0), max(-pad, 0)
-    xp = np.zeros((n, dilate * (h - 1) + 1 + 2 * lo, dilate * (w - 1) + 1 + 2 * lo, c), x.dtype)
-    xp[:, lo:xp.shape[1] - lo:dilate, lo:xp.shape[2] - lo:dilate] = x
-    xp = xp[:, crop:xp.shape[1] - crop, crop:xp.shape[2] - crop]
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
     sn, sh, sw, sc = xp.strides
-    ho, wo = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
     # the (n, ho, wo, kh, kw, c) window view, copied once
     win = as_strided(xp, (n, ho, wo, kh, kw, c),
                      (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
     return np.ascontiguousarray(win).reshape(-1, kh * kw * c)
 
 
-def _row_patches(xc, kh, kw, stride, pad, i, j):
-    """The K-major patch matrix of output rows i..j-1 over the (C, H, W, N)
-    array `xc`: (kh·kw·C, (j−i)·Wo·N), its rows in `_patches`'s column order.
-    Only the input rows these outputs read are copied and zero-padded."""
+def _spread(size, dilate, start, length):
+    """(source, target) slices: the pixels of an axis of `size`, `dilate` apart,
+    that land in the window [start, start + length) of that spaced axis."""
+    lo = min(max(-(-start // dilate), 0), size)
+    hi = max(min((start + length - 1) // dilate + 1, size), lo)
+    at = lo * dilate - start
+    return slice(lo, hi), slice(at, at + (hi - lo) * dilate, dilate)
+
+
+def _row_patches(x, kh, kw, stride, pad, i, j, dilate=1):
+    """The K-major patch matrix of output rows i..j-1 over the N×C×H×W array
+    `x`: (kh·kw·C, (j−i)·Wo·N), its rows in `_patches`'s column order. `x` is
+    first dilated (dilate−1 zeros between pixels), then zero-padded by `pad` on
+    each side, or cropped when `pad` is negative; only the input rows these
+    outputs read are copied."""
+    xc = x.transpose(1, 2, 3, 0)
     c, h, w, n = xc.shape
-    top, rows = i * stride - pad, (j - i - 1) * stride + kh
-    xp = np.zeros((c, rows, w + 2 * pad, n), xc.dtype)
-    lo, hi = min(max(top, 0), h), min(max(top + rows, 0), h)
-    xp[:, lo - top:hi - top, pad:pad + w] = xc[:, lo:hi]
+    top, rows, width = i * stride - pad, (j - i - 1) * stride + kh, dilate * (w - 1) + 1 + 2 * pad
+    xp = np.zeros((c, rows, width, n), xc.dtype)
+    (src_h, at_h), (src_w, at_w) = _spread(h, dilate, top, rows), _spread(w, dilate, -pad, width)
+    xp[:, at_h, at_w] = xc[:, src_h, src_w]
     sc, sh, sw, sn = xp.strides
-    wo = (w + 2 * pad - kw) // stride + 1
+    wo = (width - kw) // stride + 1
     # the (kh, kw, c, rows, wo, n) window view: each run is an output row's wo·n values
     win = as_strided(xp, (kh, kw, c, j - i, wo, n),
                      (sh, sw, sc, stride * sh, stride * sw, sn), writeable=False)
@@ -262,43 +247,53 @@ def _blocks(count, size, least):
     return zip(cuts, cuts[1:])
 
 
+def _kernel_rows(wd):
+    """The (F, C, kh, kw) kernel as GEMM rows, (F, kh·kw·C): the patches' K order."""
+    return wd.transpose(0, 2, 3, 1).reshape(wd.shape[0], -1)
+
+
 def _conv_gemm(cols, wd, n, ho, wo):
-    """The conv output from its input's patch matrix: an NHWC-memory view."""
-    f = wd.shape[0]
-    return (cols @ wd.transpose(0, 2, 3, 1).reshape(f, -1).T
-            ).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    """The conv output from its input's patch rows: an NHWC-memory view."""
+    return (cols @ _kernel_rows(wd).T).reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
+
+
+def _conv_kmajor(cols, wd, ho, wo):
+    """The conv output W_m @ P from its input's whole-batch K-major patch
+    matrix: a CHWN-memory view."""
+    return (_kernel_rows(wd) @ cols).reshape(wd.shape[0], ho, wo, -1).transpose(3, 0, 1, 2)
 
 
 def _conv_forward(xd, wd, stride, pad, ho, wo):
-    """The conv output in its input's layout: an NHWC or NCHW input by one
-    whole-batch patch GEMM into NHWC memory, a CHWN input by blocks of at
-    least `_BLOCK_ROWS` patch columns of whole output rows, K-major, into
+    """The eval-mode conv output in its input's layout: an NHWC or NCHW input
+    by one whole-batch patch GEMM into NHWC memory, a CHWN input by blocks of
+    at least `_BLOCK_ROWS` patch columns of whole output rows, K-major, into
     CHWN memory. Every output gets the same bits either way."""
     n, f, (kh, kw) = xd.shape[0], wd.shape[0], wd.shape[2:]
-    wm = wd.transpose(0, 2, 3, 1).reshape(f, -1)
+    wm = _kernel_rows(wd)
     chwn, least = _chwn(xd), max(_BLOCK_ROWS, _SMALL_GEMM // wm.size + 1)
     if not chwn or f == 1 or ho * wo * n < least:
         out = _conv_gemm(_patches(xd, kh, kw, stride, pad), wd, n, ho, wo)
         # a CHWN input too small for the K-major GEMM's bits still gets CHWN memory
         return _as_chwn(out) if chwn else out
-    out, xc = np.empty((f, ho, wo, n), np.result_type(xd, wd)), xd.transpose(1, 2, 3, 0)
+    out = np.empty((f, ho, wo, n), np.result_type(xd, wd))
     for i, j in _blocks(ho, wo * n, least):
-        np.matmul(wm, _row_patches(xc, kh, kw, stride, pad, i, j), out=out[:, i:j].reshape(f, -1))
+        np.matmul(wm, _row_patches(xd, kh, kw, stride, pad, i, j), out=out[:, i:j].reshape(f, -1))
     return out.transpose(3, 0, 1, 2)
 
 
 def _conv_dw(g, cols, wd):
+    """dW from the output gradient and the input's K-major patch matrix."""
     f, c, kh, kw = wd.shape
-    return (g.transpose(0, 2, 3, 1).reshape(-1, f).T @ cols
-            ).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+    dw = (cols @ g.transpose(1, 2, 3, 0).reshape(f, -1).T).T
+    return dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
 
 
 def _conv_dx(g, wd, xshape, stride, pad):
     # the forward's transpose: correlate g, dilated by the stride, with the
     # flipped kernel, its in and out channels swapped
-    (n, _, h, width), (kh, kw) = xshape, wd.shape[2:]
-    return _conv_gemm(_patches(g, kh, kw, 1, kh - 1 - pad, stride),
-                      wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), n, h, width)
+    (h, width), kh = xshape[2:], wd.shape[2]
+    cols = _row_patches(g, kh, wd.shape[3], 1, kh - 1 - pad, 0, h, stride)
+    return _conv_kmajor(cols, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, width)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
@@ -306,15 +301,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {xd.shape}, {wd.shape}")
     (kh, kw), (ho, wo) = wd.shape[2:], _conv_geometry(xd.shape, wd.shape, stride, pad)
-    out = _conv_forward(xd, wd, stride, pad, ho, wo)
+    if Graph.active() is None:
+        return _result("conv2d", (x, w), _conv_forward(xd, wd, stride, pad, ho, wo), None)
+    xc = _as_chwn(xd)
+    out = _conv_kmajor(_row_patches(xc, kh, kw, stride, pad, 0, ho), wd, ho, wo)
     # dx reads the kernel (a parameter); only dW reads the input
-    need_dx, xshape, xd = x.requires_grad, xd.shape, (xd if w.requires_grad else None)
+    need_dx, xshape, xc = x.requires_grad, xd.shape, (xc if w.requires_grad else None)
 
     def backward(g):
-        dw = None if xd is None else _conv_dw(g, _patches(xd, kh, kw, stride, pad), wd)
+        dw = None if xc is None else _conv_dw(g, _row_patches(xc, kh, kw, stride, pad, 0, ho), wd)
         return (_conv_dx(g, wd, xshape, stride, pad) if need_dx else None), dw
 
-    return _result("conv2d", (x, w), out, backward, (xd,))
+    return _result("conv2d", (x, w), out, backward, (xc,))
 
 
 # ---------------------------------------------------------------------------
@@ -328,32 +326,29 @@ def _bn_forward(xd, gamma, beta, eps):
     m = xd.size // xd.shape[1]
     if m < 2:
         raise ShapeError("batchnorm2d needs at least 2 values per channel in train mode")
-    (xv,), bcast, back = _channel_layout(xd)
-    # the bits of xd.mean: its float64 division rounds to float32 as this one does
-    mu = _channel_sum(xd) / m
-    xc = xv - bcast(mu)
-    var = _channel_sum(back(xc), back(xc)) / m
+    mu = np.einsum("nchw->c", xd) / m
+    xc = xd - _bcast(mu)
+    var = np.einsum("nchw,nchw->c", xc, xc) / m
     inv = 1.0 / np.sqrt(var + eps)
-    return back(bcast(gamma.data) * (xc * bcast(inv)) + bcast(beta.data)), mu, var, inv
+    return _bcast(gamma.data) * (xc * _bcast(inv)) + _bcast(beta.data), mu, var, inv
 
 
 def _bn_backward(xd, g, mu, inv, gamma, beta):
     """(dx, dγ, dβ) of `_bn_forward`: inv/m·(m·dx̂ − s1 − x̂·s2), in place."""
     m = xd.size // xd.shape[1]
-    (xv, gv), bcast, back = _channel_layout(xd, g)
-    xh = xv - bcast(mu)
-    xh *= bcast(inv)
-    dbeta = _channel_sum(g) if beta.requires_grad else None
-    dgamma = _channel_sum(g, back(xh)) if gamma.requires_grad else None
-    dx = gv * bcast(gamma.data)
-    s1 = _channel_sum(back(dx))
-    s2 = _channel_sum(back(dx), back(xh))
+    xh = xd - _bcast(mu)
+    xh *= _bcast(inv)
+    dbeta = np.einsum("nchw->c", g) if beta.requires_grad else None
+    dgamma = np.einsum("nchw,nchw->c", g, xh) if gamma.requires_grad else None
+    dx = g * _bcast(gamma.data)
+    s1 = np.einsum("nchw->c", dx)
+    s2 = np.einsum("nchw,nchw->c", dx, xh)
     dx *= m
-    dx -= bcast(s1)
-    xh *= bcast(s2)
+    dx -= _bcast(s1)
+    xh *= _bcast(s2)
     dx -= xh
-    dx *= bcast(inv / m)
-    return back(dx), dgamma, dbeta
+    dx *= _bcast(inv / m)
+    return dx, dgamma, dbeta
 
 
 def batchnorm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
@@ -367,22 +362,23 @@ def batchnorm2d_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
 
 def conv_batchnorm2d_train(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
                            stride: int = 1, pad: int = 1, eps: float = 1e-5):
-    """`batchnorm2d_train(conv2d(x, w, stride, pad), gamma, beta, eps)`, bit for
-    bit, keeping x, μ and 1/σ: backward recomputes the conv output from the
-    patch matrix dW reads, and drops that matrix before dx builds its own."""
-    y = conv2d(detach(x), detach(w), stride, pad).data
+    """`batchnorm2d_train(conv2d(x, w, stride, pad), gamma, beta, eps)` on a tape,
+    bit for bit, keeping x (in CHWN memory), μ and 1/σ: backward recomputes the
+    conv output from the patch matrix dW reads, and drops that matrix before dx
+    builds its own."""
+    xc, wd = _as_chwn(x.data), w.data
+    y = conv2d(Tensor(xc), detach(w), stride, pad).data
     out, mu, var, inv = _bn_forward(y, gamma, beta, eps)
-    xd, wd, (n, _, ho, wo) = x.data, w.data, y.shape
-    need_dx, need_dw, (kh, kw) = x.requires_grad, w.requires_grad, wd.shape[2:]
+    need_dx, need_dw, (kh, kw), (ho, wo) = x.requires_grad, w.requires_grad, wd.shape[2:], y.shape[2:]
 
     def backward(g):
-        cols = _patches(xd, kh, kw, stride, pad)
-        gy, dgamma, dbeta = _bn_backward(_conv_gemm(cols, wd, n, ho, wo), g, mu, inv, gamma, beta)
+        cols = _row_patches(xc, kh, kw, stride, pad, 0, ho)
+        gy, dgamma, dbeta = _bn_backward(_conv_kmajor(cols, wd, ho, wo), g, mu, inv, gamma, beta)
         dw = _conv_dw(gy, cols, wd) if need_dw else None
         del cols
-        return (_conv_dx(gy, wd, xd.shape, stride, pad) if need_dx else None), dw, dgamma, dbeta
+        return (_conv_dx(gy, wd, xc.shape, stride, pad) if need_dx else None), dw, dgamma, dbeta
 
-    return _result("conv_batchnorm2d", (x, w, gamma, beta), out, backward, (xd, mu, inv)), mu, var
+    return _result("conv_batchnorm2d", (x, w, gamma, beta), out, backward, (xc, mu, inv)), mu, var
 
 
 def conv_batchnorm2d_eval(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
@@ -427,12 +423,13 @@ def global_avg_pool(x: Tensor) -> Tensor:
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"global_avg_pool expects N×C×H×W, got {xd.shape}")
-    n, c, h, w = shape = xd.shape
+    n, c, h, w = xd.shape
 
-    def backward(g):
-        return (np.broadcast_to((g / (h * w))[:, :, None, None], shape).copy(),)
+    def backward(g):  # a CHWN gradient, as every training activation's
+        return (np.broadcast_to((g / (h * w)).T[:, None, None], (c, h, w, n)
+                                ).copy().transpose(3, 0, 1, 2),)
 
-    # eval's CHWN memory gets the bits of its NHWC twin: einsum adds pixel after
+    # CHWN memory gets the bits of its NHWC twin: einsum adds pixel after
     # pixel on both, and at C = 1 the twin is NCHW memory, which numpy sums pairwise
     if _chwn(xd) and c > 1:
         pooled = np.ascontiguousarray(np.einsum("nchw->nc", xd))

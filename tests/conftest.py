@@ -36,6 +36,27 @@ def trainer_factory():
     return make_trainer
 
 
+class RecordingMeter(mlaan.ActivationMeter):
+    """An activation meter that lists every array a tape hands it."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = []
+
+    def hold(self, arr, key):
+        self.held.append(arr)
+        super().hold(arr, key)
+
+
+def laid_out(a, layout):
+    """`a`'s values in NCHW memory, or in NHWC or CHWN memory behind an NCHW view."""
+    if layout == "nhwc":
+        return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    if layout == "chwn":
+        return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    return np.ascontiguousarray(a)
+
+
 def record_patches(monkeypatch):
     """(patches, values per patch) of every patch matrix the conv builds from
     now on: the rows of `ops._patches`, the columns of the CHWN forward's

@@ -14,7 +14,7 @@ from mlaan.network import partition
 from mlaan.optim import OptimizerConfig, SGDNesterov, cosine_annealing_lr
 from mlaan.rng import named_stream
 from mlaan.tensor import Graph, Parameter, Tensor
-from conftest import make_trainer, record_patches, warmup_batch_stats
+from conftest import RecordingMeter, laid_out, make_trainer, record_patches, warmup_batch_stats
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +97,12 @@ def _reachable_float_buffers(graph, params):
 
 
 def test_meter_counts_every_buffer_a_tape_keeps_alive():
-    class Recording(mlaan.ActivationMeter):
-        def hold(self, arr, key):
-            self.held.append(arr)
-            super().hold(arr, key)
-
     net = mlaan.build_backbone(6, 4, 10, (1, 12, 12), seed=2)
     body = partition(net, 2)[1][1]            # two residual units, no stem
     assert len(body.units) == 2 and body.stem is None
-    meter = Recording()
-    meter.held = []
-    x = np.random.default_rng(0).standard_normal((4, 4, 12, 12)).astype(np.float32)
+    meter = RecordingMeter()
+    # a later module's input, in the CHWN memory training hands it
+    x = laid_out(np.random.default_rng(0).standard_normal((4, 4, 12, 12)).astype(np.float32), "chwn")
     with Graph("module2", meter=meter) as g:
         out = body.forward_body(Tensor(x, requires_grad=True), training=True)
         g.backward(out, np.ones_like(out.data))
@@ -120,6 +115,23 @@ def test_meter_counts_every_buffer_a_tape_keeps_alive():
     assert meter.current_total == sum(a.size for a in meter.held)
     g.release()
     assert meter.current_total == 0
+
+
+def test_meter_counts_the_stems_chwn_copy_of_the_images():
+    """Module 1 lays the NCHW images out CHWN once; the tape keeps that copy,
+    and the meter counts it, as the one buffer of the images' size it holds."""
+    net = mlaan.build_backbone(6, 4, 10, (1, 12, 12), seed=2)
+    first = partition(net, 2)[1][0]
+    meter = RecordingMeter()
+    x = np.random.default_rng(0).standard_normal((4, 1, 12, 12)).astype(np.float32)
+    with Graph("module1", meter=meter) as g:
+        out = first.forward_body(Tensor(x), training=True)
+        g.backward(out, np.ones_like(out.data))
+    metered = {id(_memory_root(a)): a for a in meter.held}
+    assert _reachable_float_buffers(g, net.parameters()).keys() == metered.keys()
+    copies = [a for a in metered.values() if a.shape == x.shape]
+    assert len(copies) == 1 and ops._chwn(copies[0]) and np.array_equal(copies[0], x)
+    g.release()
 
 
 def test_meter_report_from_real_step(tiny_data):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlaan import ActivationMeter, ops
+from mlaan import ops
 from mlaan.errors import GraphError
 from mlaan.layers import ResidualUnit
 from mlaan.optim import finite_diff_check
 from mlaan.tensor import Graph, Parameter, Tensor, set_default_dtype
+from conftest import RecordingMeter, laid_out
 
 
 @pytest.fixture(autouse=True)
@@ -264,9 +265,10 @@ class TestTapeMechanics:
                 far.backward(loss)
         assert not w.grad.any() and w.accum_count == 0
 
-    def conv_batchnorm(self, meter=None):
+    def conv_batchnorm(self, meter=None, layout="chwn"):
+        # training hands a module its input in CHWN memory
         gen = np.random.default_rng(12)
-        x = Tensor(gen.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        x = Tensor(laid_out(gen.standard_normal((2, 3, 6, 6)), layout), requires_grad=True)
         w = p("w", gen.standard_normal((4, 3, 3, 3)))
         gamma, beta = p("gamma", gen.uniform(0.5, 1.5, 4)), p("beta", gen.standard_normal(4))
         with Graph("body", meter=meter):
@@ -282,17 +284,20 @@ class TestTapeMechanics:
             assert a.tobytes() == b.tobytes()
 
     def test_conv_batchnorm_keeps_its_input_mu_and_inv_sigma(self):
-        class Recording(ActivationMeter):
-            def hold(self, arr, key):
-                self.held.append(arr)
-                super().hold(arr, key)
-
-        meter = Recording()
-        meter.held = []
+        meter = RecordingMeter()
         x, _, mu, var, _ = self.conv_batchnorm(meter)
         assert len(meter.held) == 3
         assert meter.held[0] is x.data and meter.held[1] is mu
         assert meter.held[2].tobytes() == (1.0 / np.sqrt(var + 1e-5)).tobytes()
+
+    def test_conv_batchnorm_keeps_one_chwn_copy_of_an_nchw_input(self):
+        # the stem's images: laid out CHWN once, and the tape keeps that copy
+        meter = RecordingMeter()
+        x, _, mu, _, _ = self.conv_batchnorm(meter, layout="nchw")
+        kept = meter.held[0]
+        assert len(meter.held) == 3 and meter.held[1] is mu
+        assert ops._chwn(kept) and not np.shares_memory(kept, x.data)
+        assert kept.shape == x.data.shape and np.array_equal(kept, x.data)
 
     def test_unit_frees_what_no_backward_reads(self, monkeypatch):
         # conv and batch norm as one op -> residual add -> relu. No backward
@@ -310,7 +315,7 @@ class TestTapeMechanics:
         monkeypatch.setattr(ops, "_result", spy)
         gen = np.random.default_rng(4)
         unit = ResidualUnit("u", 4, gen)
-        x = gen.standard_normal((2, 4, 5, 5))
+        x = laid_out(gen.standard_normal((2, 4, 5, 5)), "chwn")  # as training hands it
         x_alive = weakref.ref(x)
         with Graph("body") as g:
             out = unit(Tensor(x), training=True)
@@ -323,6 +328,27 @@ class TestTapeMechanics:
             assert x_alive() is not None
             g.release()
         assert x_alive() is None and all(ref() is None for _, ref in made)
+
+    def test_unit_keeps_one_chwn_copy_of_an_nchw_input(self, monkeypatch):
+        # the fused op lays a non-CHWN input out once and keeps only that copy
+        kept, result = [], ops._result
+
+        def spy(op, inputs, out_data, backward_fn, cache_arrays=()):
+            kept.extend(a for a in cache_arrays if a is not None and a.ndim == 4)
+            return result(op, inputs, out_data, backward_fn, cache_arrays)
+
+        monkeypatch.setattr(ops, "_result", spy)
+        gen = np.random.default_rng(4)
+        unit = ResidualUnit("u", 4, gen)
+        x = gen.standard_normal((2, 4, 5, 5))
+        x_alive, values = weakref.ref(x), x.copy()
+        with Graph("body") as g:
+            out = unit(Tensor(x), training=True)
+            del x
+            assert x_alive() is None
+            copy, relu_out = kept
+            assert ops._chwn(copy) and np.array_equal(copy, values) and relu_out is out.data
+            g.release()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

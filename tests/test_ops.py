@@ -13,7 +13,7 @@ from mlaan import ops
 from mlaan.layers import BatchNorm2d, Conv2d
 from mlaan.errors import ConfigError, DataError, GraphError, ShapeError
 from mlaan.tensor import Graph, Parameter, Tensor
-from conftest import record_patches
+from conftest import laid_out, record_patches
 
 
 def t(data, dtype=np.float64):
@@ -292,19 +292,20 @@ def reference_batchnorm2d_train(x, gamma, beta, eps=1e-5):
     xd = x.data
     n, c, h, w = xd.shape
     m = n * h * w
-    mu = xd.mean(axis=(0, 2, 3))
-    var = ((xd - mu[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
+    mu = np.einsum("nchw->c", xd) / m
+    xc = xd - mu[None, :, None, None]
+    var = np.einsum("nchw,nchw->c", xc, xc) / m
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+    xhat = xc * inv[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def backward(g):
         xh = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-        dbeta = g.sum(axis=(0, 2, 3))
-        dgamma = (g * xh).sum(axis=(0, 2, 3))
+        dbeta = np.einsum("nchw->c", g)
+        dgamma = np.einsum("nchw,nchw->c", g, xh)
         dxhat = g * gamma.data[None, :, None, None]
-        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        s2 = (dxhat * xh).sum(axis=(0, 2, 3), keepdims=True)
+        s1 = np.einsum("nchw->c", dxhat)[None, :, None, None]
+        s2 = np.einsum("nchw,nchw->c", dxhat, xh)[None, :, None, None]
         dx = (inv[None, :, None, None] / m) * (m * dxhat - s1 - xh * s2)
         return dx, dgamma, dbeta
 
@@ -331,26 +332,19 @@ def reference_bias_add(x, b):
     if xd.ndim == 2:
         return ops._result("bias_add", (x, b), xd + bd, lambda g: (g, g.sum(axis=0)))
     return ops._result("bias_add", (x, b), xd + bd[None, :, None, None],
-                       lambda g: (g, g.sum(axis=(0, 2, 3))))
+                       lambda g: (g, np.einsum("nchw->c", g)))
 
 
 def reference_global_avg_pool(x):
     xd = x.data
     n, c, h, w = xd.shape
 
-    def backward(g):
-        return (np.broadcast_to((g / (h * w))[:, :, None, None], xd.shape).copy(),)
+    def backward(g):  # laid out as the input is
+        dx = np.empty_like(xd)
+        dx[...] = (g / (h * w))[:, :, None, None]
+        return (dx,)
 
     return ops._result("global_avg_pool", (x,), xd.mean(axis=(2, 3)), backward)
-
-
-def laid_out(a, layout):
-    """`a`'s values in NCHW memory, or in NHWC or CHWN memory behind an NCHW view."""
-    if layout == "nhwc":
-        return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    if layout == "chwn":
-        return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
-    return np.ascontiguousarray(a)
 
 
 def same_bits(got, want):
@@ -363,8 +357,8 @@ class TestChannelSums:
     @pytest.mark.parametrize("c", [1, 2, 3, 8])
     @pytest.mark.parametrize("n", [2, 16, 130])
     def test_equal_numpys_reduction(self, n, c, dtype, layout):
-        """The einsum route must add in numpy's order; a numpy build where it
-        does not would silently re-roll every trained network."""
+        """`_channel_sum` is numpy's own reduction on every layout: the
+        eval-mode batch-norm backward and the pool off CHWN memory take it."""
         gen = np.random.default_rng(n * 10 + c)
         a, b = (laid_out((gen.standard_normal((n, c, 12, 12)) * 3 + 1).astype(dtype), layout)
                 for _ in range(2))
@@ -375,7 +369,8 @@ class TestChannelSums:
         assert same_bits(ops._channel_sum(a, mixed), (a * mixed).sum(axis=(0, 2, 3)))
 
 
-BN_LAYOUTS = [("nhwc", "nhwc"), ("nhwc", "nchw"), ("nchw", "nchw")]  # (input, gradient)
+BN_LAYOUTS = [("nhwc", "nhwc"), ("nhwc", "nchw"), ("nchw", "nchw"),  # (input, gradient)
+              ("chwn", "chwn")]
 
 
 class TestBatchNormMatchesReference:
@@ -578,7 +573,7 @@ class TestConvBatchNorm:
     # image, an EMA twin
     @pytest.mark.parametrize("x_grad,frozen", [(True, False), (False, False), (True, True)])
     @pytest.mark.parametrize("stride,pad", [(1, 1), (1, 0), (2, 1), (2, 0)])
-    @pytest.mark.parametrize("layout", ["nhwc", "nchw"])
+    @pytest.mark.parametrize("layout", ["nhwc", "nchw", "chwn"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_conv_then_batchnorm_bitwise(self, dtype, layout, stride, pad, x_grad,
                                                  frozen):
@@ -685,6 +680,16 @@ class TestChwnForward:
         got, want = (ops.conv2d(Tensor(laid_out(x, lay)), w).data for lay in ("chwn", "nhwc"))
         assert same_bits(got, want)
 
+    def test_as_chwn_returns_a_chwn_array_itself(self):
+        """The same object, not a new view of it: the activation meter tells
+        buffers apart by identity, so a fresh view would count twice."""
+        x = laid_out(np.ones((4, 3, 5, 5)), "chwn")
+        one = np.ones((1, 3, 5, 5))  # one image in NCHW memory is in CHWN memory too
+        assert ops._as_chwn(x) is x and ops._as_chwn(one) is one
+        nchw = np.arange(300.0).reshape(4, 3, 5, 5)
+        copy = ops._as_chwn(nchw)
+        assert ops._chwn(copy) and np.array_equal(copy, nchw)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_small_k_major_gemm_would_move_bits(self, dtype):
         """Why a small CHWN conv runs the row-major GEMM: OpenBLAS's
@@ -696,24 +701,49 @@ class TestChwnForward:
 
 
 # ---------------------------------------------------------------------------
-# the channels-last conv against one GEMM over the whole batch
+# the conv against one GEMM over the whole batch: K-major on a tape,
+# channels-last off it
 # ---------------------------------------------------------------------------
 
 def reference_conv2d(x, w, stride=1, pad=1):
-    """conv2d as one patch copy and one GEMM over the whole batch; the
-    backward is the op's own."""
+    """conv2d off a tape as one patch-row copy and one GEMM over the whole batch."""
     xd, wd = x.data, w.data
     (n, c, h, width), (f, _, kh, kw) = xd.shape, wd.shape
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))).transpose(0, 2, 3, 1)
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     ho, wo = win.shape[1:3]
     cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * c)
-    out = (cols @ wd.transpose(0, 2, 3, 1).reshape(f, -1).T
-           ).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    return Tensor((cols @ wd.transpose(0, 2, 3, 1).reshape(f, -1).T
+                   ).reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+
+
+def reference_conv2d_train(x, w, stride=1, pad=1):
+    """conv2d on a tape as one GEMM over the whole batch each way, W_m @ P with
+    P the (kh·kw·C, Ho·Wo·N) patch matrix: the forward on x's patches, dW as
+    (P @ g_rowsᵀ)ᵀ, dx on the stride-dilated, padded gradient's patches with
+    the flipped kernel, its in and out channels swapped."""
+    xd, wd = x.data, w.data
+    (n, c, h, width), (f, _, kh, kw) = xd.shape, wd.shape
+
+    def patches(a, stride, pad):
+        ap = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad))).transpose(1, 2, 3, 0)
+        win = sliding_window_view(ap, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        return np.ascontiguousarray(win.transpose(4, 5, 0, 1, 2, 3)).reshape(kh * kw * len(ap), -1)
+
+    def gemm(k, cols, ho, wo):  # the output as an N×F×Ho×Wo view of CHWN memory
+        return (k.transpose(0, 2, 3, 1).reshape(len(k), -1) @ cols
+                ).reshape(len(k), ho, wo, n).transpose(3, 0, 1, 2)
+
+    cols = patches(xd, stride, pad)
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (width + 2 * pad - kw) // stride + 1
+    out = gemm(wd, cols, ho, wo)
 
     def backward(g):
-        return (ops._conv_dx(g, wd, xd.shape, stride, pad),
-                ops._conv_dw(g, ops._patches(xd, kh, kw, stride, pad), wd))
+        gd = np.zeros((n, f, (ho - 1) * stride + 1, (wo - 1) * stride + 1), g.dtype)
+        gd[:, :, ::stride, ::stride] = g
+        dx = gemm(wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), patches(gd, 1, kh - 1 - pad), h, width)
+        dw = (cols @ g.transpose(1, 2, 3, 0).reshape(f, -1).T).T
+        return dx, dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
 
     return ops._result("conv2d", (x, w), out, backward, (xd,))
 
@@ -736,7 +766,7 @@ class TestBlockedConvForward:
         x = gen.standard_normal((n, c, side, side)).astype(dtype)
         w = gen.standard_normal((f, c, 3, 3)).astype(dtype)
         g = laid_out(gen.standard_normal((n, f, side, side)).astype(dtype), "nhwc")
-        want = self.run(reference_conv2d, x, w, g)
+        want = self.run(reference_conv2d_train, x, w, g)
         shapes = record_patches(monkeypatch)
         got = self.run(ops.conv2d, x, w, g)
         for a, b in zip(got, want):

@@ -287,6 +287,41 @@ def test_desk_mlaan_step_calls_conv2d_47_times(monkeypatch):
     assert len(calls) == 47
 
 
+def test_desk_mlaan_step_trains_in_chwn_memory(monkeypatch):
+    """Every conv after the stem's reads CHWN memory, the pools write CHWN
+    gradients and every batch-norm backward receives one, and no channels-last
+    patch rows are built: a fall-back onto the channels-last GEMM shows here."""
+    tr = make_trainer("mlaan", K=8, depth=18, width=8, k=3, p=2)
+    bx, by = small_batch(tr, n=16)
+    conv_inputs, pool_grads, bn_grads, rows = [], [], [], []
+    conv, result, bn_backward, patches = ops.conv2d, ops._result, ops._bn_backward, ops._patches
+
+    def recording_result(op, inputs, out, backward_fn, cache_arrays=()):
+        def pool_backward(g):
+            grads = backward_fn(g)
+            pool_grads.extend(grads)
+            return grads
+        return result(op, inputs, out, pool_backward if op == "global_avg_pool" else backward_fn,
+                      cache_arrays)
+
+    monkeypatch.setattr(ops, "conv2d", lambda x, *a: conv_inputs.append(x.data) or conv(x, *a))
+    monkeypatch.setattr(ops, "_result", recording_result)
+    monkeypatch.setattr(ops, "_bn_backward", lambda xd, g, *a: bn_grads.append(g) or bn_backward(xd, g, *a))
+    monkeypatch.setattr(ops, "_patches", lambda *a: rows.append(a) or patches(*a))
+    tr.step(bx, by, 0.05)
+    assert len(conv_inputs) == 47 and all(ops._chwn(x) for x in conv_inputs[1:])
+    assert pool_grads and all(ops._chwn(g) for g in pool_grads)
+    assert bn_grads and all(ops._chwn(g) for g in bn_grads)
+    assert not rows
+
+
+def test_desk_mlaan_step_meter_peak():
+    """The benchmark's `peak_act_elements` for `desk-mlaan`, from one step."""
+    tr = make_trainer("mlaan", K=8, depth=18, width=8, k=3, p=2)
+    bx, by = small_batch(tr, n=16)
+    assert mlaan.meter_peak_activations(tr, bx, by).peak_elements == 221_632
+
+
 @pytest.mark.parametrize("kind,p", [("bp", 0), ("greedy_local", 0), ("mlm_only", 0),
                                     ("lam_only", 2), ("mlaan", 2)])
 def test_step_matches_the_4d_reference_kernels_bitwise(kind, p, monkeypatch):
