@@ -369,7 +369,8 @@ def conv_batchnorm2d_train(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
     xc, wd = _as_chwn(x.data), w.data
     y = conv2d(Tensor(xc), detach(w), stride, pad).data
     out, mu, var, inv = _bn_forward(y, gamma, beta, eps)
-    need_dx, need_dw, (kh, kw), (ho, wo) = x.requires_grad, w.requires_grad, wd.shape[2:], y.shape[2:]
+    need_dx, need_dw = x.requires_grad, w.requires_grad
+    (kh, kw), (ho, wo) = wd.shape[2:], y.shape[2:]
 
     def backward(g):
         cols = _row_patches(xc, kh, kw, stride, pad, 0, ho)

@@ -101,8 +101,8 @@ def test_meter_counts_every_buffer_a_tape_keeps_alive():
     body = partition(net, 2)[1][1]            # two residual units, no stem
     assert len(body.units) == 2 and body.stem is None
     meter = RecordingMeter()
-    # a later module's input, in the CHWN memory training hands it
-    x = laid_out(np.random.default_rng(0).standard_normal((4, 4, 12, 12)).astype(np.float32), "chwn")
+    x = np.random.default_rng(0).standard_normal((4, 4, 12, 12)).astype(np.float32)
+    x = laid_out(x, "chwn")  # a later module's input, in the CHWN memory training hands it
     with Graph("module2", meter=meter) as g:
         out = body.forward_body(Tensor(x, requires_grad=True), training=True)
         g.backward(out, np.ones_like(out.data))

@@ -741,7 +741,8 @@ def reference_conv2d_train(x, w, stride=1, pad=1):
     def backward(g):
         gd = np.zeros((n, f, (ho - 1) * stride + 1, (wo - 1) * stride + 1), g.dtype)
         gd[:, :, ::stride, ::stride] = g
-        dx = gemm(wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), patches(gd, 1, kh - 1 - pad), h, width)
+        flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = gemm(flipped, patches(gd, 1, kh - 1 - pad), h, width)
         dw = (cols @ g.transpose(1, 2, 3, 0).reshape(f, -1).T).T
         return dx, dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
 

@@ -306,7 +306,8 @@ def test_desk_mlaan_step_trains_in_chwn_memory(monkeypatch):
 
     monkeypatch.setattr(ops, "conv2d", lambda x, *a: conv_inputs.append(x.data) or conv(x, *a))
     monkeypatch.setattr(ops, "_result", recording_result)
-    monkeypatch.setattr(ops, "_bn_backward", lambda xd, g, *a: bn_grads.append(g) or bn_backward(xd, g, *a))
+    monkeypatch.setattr(ops, "_bn_backward",
+                        lambda xd, g, *a: bn_grads.append(g) or bn_backward(xd, g, *a))
     monkeypatch.setattr(ops, "_patches", lambda *a: rows.append(a) or patches(*a))
     tr.step(bx, by, 0.05)
     assert len(conv_inputs) == 47 and all(ops._chwn(x) for x in conv_inputs[1:])
